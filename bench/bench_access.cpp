@@ -1,13 +1,20 @@
 // E9 -- access functions and overlap areas (Section 3.2.1): local access
-// through loc_map is O(1); non-local access is worth batching.  Three
+// through loc_map is O(1); non-local access is worth batching.  Five
 // measurements:
 //   * LocalAccess: at() on owned elements (ns/element);
+//   * Stencil9Halo / Stencil9Raw: one 9-point smoothing sweep at P = 1,
+//     n = 512, through for_owned/at/halo and on a raw std::vector
+//     (ns_per_point); their ratio is the access-function overhead over a
+//     plain array sweep;
 //   * OverlapStencil: a stencil step with one bulk overlap exchange;
 //   * ElementwiseRemote: the same boundary data fetched through
 //     per-element schedules -- one message per element, the cost the
 //     overlap-area descriptor component exists to avoid.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "vf/apps/smoothing_sim.hpp"
 #include "vf/msg/spmd.hpp"
 #include "vf/parti/schedule.hpp"
 #include "vf/rt/dist_array.hpp"
@@ -40,6 +47,87 @@ void BM_LocalAccess(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n * n);
+}
+
+/// Counter reporting nanoseconds per grid point of one sweep.
+benchmark::Counter ns_per_point(Index points) {
+  return benchmark::Counter(static_cast<double>(points) * 1e-9,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+double seed_value(Index i, Index j) {
+  return static_cast<double>((i * 7919 + j * 104729) % 1000) / 1000.0;
+}
+
+// The vfbench smooth9 kernel: (BLOCK, BLOCK) with a corner overlap of 1,
+// boundary points reading their own value for the missing neighbours.
+void BM_Stencil9Halo(benchmark::State& state) {
+  msg::Machine machine(1);
+  msg::Context ctx(machine, 0);
+  rt::Env env(ctx, dist::ProcessorArray::grid(1, 1));
+  const Index n = state.range(0);
+  rt::DistArray<double>::Spec spec{
+      .name = "A",
+      .domain = IndexDomain::of_extents({n, n}),
+      .initial = dist::DistributionType{dist::block(), dist::block()},
+      .overlap_lo = {1, 1},
+      .overlap_hi = {1, 1},
+      .overlap_corners = true};
+  rt::DistArray<double> a(env, spec);
+  spec.name = "B";
+  rt::DistArray<double> b(env, spec);
+  a.init([](const IndexVec& i) { return seed_value(i[0], i[1]); });
+  a.exchange_overlap();
+  benchmark::DoNotOptimize(b.local_span().data());
+  for (auto _ : state) {
+    const rt::DistArray<double>& s = a;
+    b.for_owned([&](const IndexVec& i, double& out) {
+      const double c = s.at(i);
+      const auto rd = [&](Index di, Index dj) {
+        const Index x = i[0] + di;
+        const Index y = i[1] + dj;
+        return (x < 1 || x > n || y < 1 || y > n) ? c : s.halo({x, y});
+      };
+      out = apps::smooth9_combine(c, rd(-1, 0), rd(+1, 0), rd(0, -1),
+                                  rd(0, +1), rd(-1, -1), rd(-1, +1),
+                                  rd(+1, -1), rd(+1, +1));
+    });
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_point"] = ns_per_point(n * n);
+}
+
+// The same sweep on a raw column-major std::vector: the floor the access
+// functions are measured against.
+void BM_Stencil9Raw(benchmark::State& state) {
+  const Index n = state.range(0);
+  const auto at = [n](Index i, Index j) {
+    return static_cast<std::size_t>((i - 1) + (j - 1) * n);
+  };
+  std::vector<double> a(static_cast<std::size_t>(n * n));
+  std::vector<double> b(a.size());
+  for (Index j = 1; j <= n; ++j) {
+    for (Index i = 1; i <= n; ++i) a[at(i, j)] = seed_value(i, j);
+  }
+  benchmark::DoNotOptimize(b.data());
+  for (auto _ : state) {
+    for (Index j = 1; j <= n; ++j) {
+      for (Index i = 1; i <= n; ++i) {
+        const double c = a[at(i, j)];
+        const auto rd = [&](Index di, Index dj) {
+          const Index x = i + di;
+          const Index y = j + dj;
+          return (x < 1 || x > n || y < 1 || y > n) ? c : a[at(x, y)];
+        };
+        b[at(i, j)] = apps::smooth9_combine(
+            c, rd(-1, 0), rd(+1, 0), rd(0, -1), rd(0, +1), rd(-1, -1),
+            rd(-1, +1), rd(+1, -1), rd(+1, +1));
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_point"] = ns_per_point(n * n);
 }
 
 void BM_OverlapStencil(benchmark::State& state) {
@@ -116,5 +204,7 @@ void BM_ElementwiseRemote(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_LocalAccess)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stencil9Halo)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stencil9Raw)->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OverlapStencil)->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_ElementwiseRemote)->Unit(benchmark::kMillisecond)->Iterations(2);

@@ -6,12 +6,16 @@
 // modeled times from CommStats), so results can be diffed across commits.
 //
 // An explicit --benchmark_out=... on the command line overrides the
-// default destination.
+// default destination.  The report context records this library's build
+// ("vf_build": release when compiled with NDEBUG) and the host's core
+// count ("nproc"); "library_build_type" describes the installed Google
+// Benchmark library, not this code.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 int main(int argc, char** argv) {
@@ -35,6 +39,13 @@ int main(int argc, char** argv) {
   }
   int args_count = static_cast<int>(args.size());
   ::benchmark::Initialize(&args_count, args.data());
+#ifdef NDEBUG
+  ::benchmark::AddCustomContext("vf_build", "release");
+#else
+  ::benchmark::AddCustomContext("vf_build", "debug");
+#endif
+  ::benchmark::AddCustomContext(
+      "nproc", std::to_string(std::thread::hardware_concurrency()));
   if (::benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;
   }

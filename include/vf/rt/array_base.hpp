@@ -373,14 +373,18 @@ class DistArrayBase {
   // element-type independent, so executors (PARTI schedules) can translate
   // index points to flat storage offsets through the base class.
 
+  // Every array whose distributed dimensions are all contiguous (BLOCK,
+  // BLOCK(M), S_BLOCK, collapsed) on a rank that owns something takes the
+  // affine form precomputed by rebuild_storage_shape(): O(rank) inline
+  // multiply-adds.  CYCLIC/INDIRECT dimensions and non-member ranks take
+  // the general per-dimension DimMap path, out of line.
+
   /// Flat local-storage offset of an owned element (no ownership check;
   /// the caller guarantees this rank owns i).
   [[nodiscard]] dist::Index storage_offset(const dist::IndexVec& i) const {
-    if (!dist_) throw NotDistributedError(name_);
-    dist::Index off = 0;
-    for (int d = 0; d < dom_.rank(); ++d) {
-      off += (dim_local(d, i[d]) + ghost_lo_[d]) * alloc_strides_[d];
-    }
+    if (!affine_) return storage_offset_general(i);
+    dist::Index off = base_off_;
+    for (int d = 0; d < dom_.rank(); ++d) off += i[d] * alloc_strides_[d];
     return off;
   }
 
@@ -390,20 +394,33 @@ class DistArrayBase {
   }
 
   /// Storage offset for a halo-readable element (bounds-checked against
-  /// the overlap widths): the access function overlap-area reads -- the
-  /// halo() accessor and PARTI halo bindings -- translate through.
+  /// the overlap widths on every path; std::out_of_range naming the array
+  /// otherwise): the access function overlap-area reads -- the halo()
+  /// accessor and PARTI halo bindings -- translate through.  The affine
+  /// form checks and accumulates in one pass.
   [[nodiscard]] dist::Index halo_offset(const dist::IndexVec& i) const {
-    if (!dist_) throw NotDistributedError(name_);
-    dist::Index off = 0;
+    if (!affine_) {
+      if (!halo_readable(i)) throw_halo_bounds();
+      return storage_offset_general(i);
+    }
+    dist::Index off = base_off_;
     for (int d = 0; d < dom_.rank(); ++d) {
-      const dist::Index l = dim_local(d, i[d]);
-      if (l < -ghost_lo_[d] || l >= layout_.counts[d] + ghost_hi_[d]) {
-        throw std::out_of_range("halo access outside overlap area of " +
-                                name_);
-      }
-      off += (l + ghost_lo_[d]) * alloc_strides_[d];
+      if (!in_halo_extent(d, i[d])) throw_halo_bounds();
+      off += i[d] * alloc_strides_[d];
     }
     return off;
+  }
+
+  /// Whether this rank may read global index i through halo() /
+  /// halo_offset(): i is owned or lies within the overlap widths of the
+  /// owned block.  A rank that owns nothing (outside the TO section, or an
+  /// empty block) can read nothing.  Shares in_halo_extent with
+  /// halo_offset, so the two cannot disagree.
+  [[nodiscard]] bool halo_readable(const dist::IndexVec& i) const {
+    for (int d = 0; d < dom_.rank(); ++d) {
+      if (!in_halo_extent(d, i[d])) return false;
+    }
+    return affine_ || halo_readable_general(i);
   }
 
  protected:
@@ -445,14 +462,23 @@ class DistArrayBase {
     }
   }
 
-  /// Local coordinate (0-based within the owned extent) of global index g
-  /// in dimension d; may be negative / beyond the extent for halo use.
-  [[nodiscard]] dist::Index dim_local(int d, dist::Index g) const {
-    if (contig_[static_cast<std::size_t>(d)]) {
-      return g - seg_lo_[d];
-    }
-    return dist_->dim_map(d).local_of(g);
+  /// The one per-dimension bounds test of overlap-area access: whether
+  /// global index x lies in [halo_lo_[d], halo_lo_[d] + halo_span_[d]],
+  /// as a single unsigned compare.
+  [[nodiscard]] bool in_halo_extent(int d, dist::Index x) const {
+    return static_cast<std::uint64_t>(x) -
+               static_cast<std::uint64_t>(halo_lo_[d]) <=
+           static_cast<std::uint64_t>(halo_span_[d]);
   }
+
+  /// General (non-affine) halves of the access functions: per-dimension
+  /// DimMap translation, and ownership in the non-contiguous dimensions.
+  [[gnu::noinline]] [[nodiscard]] dist::Index storage_offset_general(
+      const dist::IndexVec& i) const;
+  [[gnu::noinline]] [[nodiscard]] bool halo_readable_general(
+      const dist::IndexVec& i) const;
+  /// Throws NotDistributedError, or std::out_of_range naming the array.
+  [[noreturn]] [[gnu::cold]] void throw_halo_bounds() const;
 
   /// Precondition checks shared by both distribute() entry points.
   void check_distribute_legal(const NoTransfer& nt) const;
@@ -481,33 +507,11 @@ class DistArrayBase {
   /// once per direction and replay through the plan cache afterwards.
   [[nodiscard]] dist::DistHandle maybe_hybridize(dist::DistHandle nd);
 
-  /// Recomputes the allocation shape (counts, strides, segment bases) for
-  /// the current distribution and ghost widths.
-  void rebuild_storage_shape() {
-    const int r = dom_.rank();
-    alloc_counts_ = dist::IndexVec::filled(r, 0);
-    alloc_strides_ = dist::IndexVec::filled(r, 0);
-    seg_lo_ = dist::IndexVec::filled(r, 0);
-    alloc_total_ = layout_.member ? 1 : 0;
-    for (int d = 0; d < r; ++d) {
-      const auto& m = dist_->dim_map(d);
-      contig_[static_cast<std::size_t>(d)] = m.contiguous();
-      if ((ghost_lo_[d] > 0 || ghost_hi_[d] > 0) && !m.contiguous()) {
-        throw std::invalid_argument(
-            "array " + name_ +
-            ": overlap areas require a contiguous distribution in dimension " +
-            std::to_string(d));
-      }
-      if (!layout_.member) continue;
-      if (contig_[static_cast<std::size_t>(d)]) {
-        auto seg = m.segment(static_cast<int>(layout_.coords[d]));
-        seg_lo_[d] = seg ? seg->lo : 0;
-      }
-      alloc_counts_[d] = layout_.counts[d] + ghost_lo_[d] + ghost_hi_[d];
-      alloc_strides_[d] = alloc_total_;
-      alloc_total_ *= alloc_counts_[d];
-    }
-  }
+  /// Recomputes the allocation shape (counts, strides, segment bases)
+  /// and the affine access form for the current distribution and ghost
+  /// widths.  Every geometry change (DISTRIBUTE, no-transfer install,
+  /// adopt_descriptor, set_overlap reshape) goes through here.
+  void rebuild_storage_shape();
 
   [[nodiscard]] static std::uint64_t next_serial() noexcept {
     static std::atomic<std::uint64_t> counter{1};
@@ -565,6 +569,15 @@ class DistArrayBase {
   dist::IndexVec seg_lo_;
   dist::Index alloc_total_ = 0;
   std::array<bool, dist::kMaxRank> contig_{};
+  // Affine access form: offset(i) = base_off_ + sum_d i[d] * stride[d],
+  // valid when affine_; halo() bounds per dimension in global indices,
+  // [halo_lo_, halo_lo_ + halo_span_]: the ghost-padded owned segment in
+  // contiguous dimensions, the whole dimension elsewhere, unbounded
+  // outside the TO section (halo_readable_general decides there).
+  bool affine_ = false;
+  dist::Index base_off_ = 0;
+  dist::IndexVec halo_lo_;
+  dist::IndexVec halo_span_;
 };
 
 }  // namespace vf::rt

@@ -90,6 +90,8 @@ class DistArray final : public DistArrayBase {
   }
 
   // ---- local access (owner-computes fast path) ---------------------------
+  // at()/halo() translate through storage_offset/halo_offset: inline affine
+  // adds when every dimension is contiguous (see array_base.hpp).
 
   /// Reference to owned element i; undefined behaviour if this rank does
   /// not own i (asserted in debug builds).
@@ -113,23 +115,11 @@ class DistArray final : public DistArrayBase {
 
   /// Read access that may fall into the overlap area: legal for indices
   /// within `overlap` of this rank's owned segment in contiguous
-  /// dimensions.  Call exchange_overlap() first to make ghost values
-  /// current.
+  /// dimensions.  Bounds-checked on every call: anything else, including
+  /// every index on a rank that owns nothing, throws std::out_of_range.
+  /// Call exchange_overlap() first to make ghost values current.
   [[nodiscard]] const T& halo(const dist::IndexVec& i) const {
     return local_[static_cast<std::size_t>(halo_offset(i))];
-  }
-
-  /// Whether this rank may read index i through halo() (owned or within
-  /// the ghost region).
-  [[nodiscard]] bool halo_readable(const dist::IndexVec& i) const {
-    if (!dist_) return false;
-    for (int d = 0; d < dom_.rank(); ++d) {
-      const dist::Index l = dim_local(d, i[d]);
-      if (l < -ghost_lo_[d] || l >= layout_.counts[d] + ghost_hi_[d]) {
-        return false;
-      }
-    }
-    return true;
   }
 
   [[nodiscard]] std::span<T> local_span() noexcept { return local_; }
@@ -141,19 +131,19 @@ class DistArray final : public DistArrayBase {
 
   /// Calls fn(i, element) for every owned element, in global column-major
   /// order.  fn is a templated callable -- no std::function indirection on
-  /// the iteration path.
+  /// the iteration path; the element offset advances incrementally with
+  /// the index (walk_box), never recomputed per point.
   template <typename F>
   void for_owned(F&& fn) {
-    distribution().for_owned(env_->rank(), [&](const dist::IndexVec& i) {
-      fn(i, local_[static_cast<std::size_t>(storage_offset(i))]);
-    });
+    OwnedPartition p;
+    if (!owned_partition(nullptr, p)) return;
+    walk_box(local_.data(), p.owned, p.core_lo, p.core_hi, fn);
   }
   template <typename F>
   void for_owned(F&& fn) const {
-    distribution().for_owned(env_->rank(), [&](const dist::IndexVec& i) {
-      fn(i, static_cast<const T&>(
-                local_[static_cast<std::size_t>(storage_offset(i))]));
-    });
+    OwnedPartition p;
+    if (!owned_partition(nullptr, p)) return;
+    walk_box(local_.data(), p.owned, p.core_lo, p.core_hi, fn);
   }
 
   void fill(const T& v) {
@@ -269,8 +259,8 @@ class DistArray final : public DistArrayBase {
   template <typename F>
   void for_owned_interior(const SplitMargins& m, F&& fn) {
     OwnedPartition p;
-    if (!owned_partition(m, p)) return;
-    walk_box(p.owned, p.core_lo, p.core_hi, fn);
+    if (!owned_partition(&m, p)) return;
+    walk_box(local_.data(), p.owned, p.core_lo, p.core_hi, fn);
   }
 
   /// Complement of for_owned_interior under the same margins: the owned
@@ -285,32 +275,23 @@ class DistArray final : public DistArrayBase {
   template <typename F>
   void for_owned_boundary(const SplitMargins& m, F&& fn) {
     OwnedPartition p;
-    if (!owned_partition(m, p)) return;
-    const int r = dom_.rank();
+    if (!owned_partition(&m, p)) return;
     // Slab decomposition: dimension d's low/high slabs span the core of
     // every earlier dimension and the full extent of every later one, so
     // the slabs are disjoint and their union with the core box is the
     // whole owned block.
+    const auto r = static_cast<std::size_t>(dom_.rank());
     std::array<std::size_t, dist::kMaxRank> lo{};
     std::array<std::size_t, dist::kMaxRank> hi{};
-    for (int d = 0; d < r; ++d) {
-      for (int e = 0; e < r; ++e) {
-        if (e < d) {
-          lo[static_cast<std::size_t>(e)] = p.core_lo[static_cast<std::size_t>(e)];
-          hi[static_cast<std::size_t>(e)] = p.core_hi[static_cast<std::size_t>(e)];
-        } else {
-          lo[static_cast<std::size_t>(e)] = 0;
-          hi[static_cast<std::size_t>(e)] =
-              p.owned[static_cast<std::size_t>(e)].size();
-        }
-      }
-      lo[static_cast<std::size_t>(d)] = 0;
-      hi[static_cast<std::size_t>(d)] = p.core_lo[static_cast<std::size_t>(d)];
-      walk_box(p.owned, lo, hi, fn);
-      lo[static_cast<std::size_t>(d)] = p.core_hi[static_cast<std::size_t>(d)];
-      hi[static_cast<std::size_t>(d)] =
-          p.owned[static_cast<std::size_t>(d)].size();
-      walk_box(p.owned, lo, hi, fn);
+    for (std::size_t d = 0; d < r; ++d) hi[d] = p.owned[d].size();
+    for (std::size_t d = 0; d < r; ++d) {
+      hi[d] = p.core_lo[d];
+      walk_box(local_.data(), p.owned, lo, hi, fn);
+      lo[d] = p.core_hi[d];
+      hi[d] = p.owned[d].size();
+      walk_box(local_.data(), p.owned, lo, hi, fn);
+      lo[d] = p.core_lo[d];
+      hi[d] = p.core_hi[d];
     }
   }
 
@@ -758,19 +739,18 @@ class DistArray final : public DistArrayBase {
 
   /// Fills `p` for this rank; returns false when the rank owns nothing.
   /// core = positions [min(m_lo, len), max(that, len - m_hi)) per dim --
-  /// clamped so oversized margins yield an empty core, never wrap.
-  [[nodiscard]] bool owned_partition(const SplitMargins& m,
-                                     OwnedPartition& p) {
+  /// clamped so oversized margins yield an empty core, never wrap.  Null
+  /// margins make the core the whole owned block.
+  [[nodiscard]] bool owned_partition(const SplitMargins* m,
+                                     OwnedPartition& p) const {
     if (!dist_) throw NotDistributedError(name_);
     if (!layout_.member || layout_.total == 0) return false;
-    const int r = dom_.rank();
-    for (int d = 0; d < r; ++d) {
+    for (int d = 0; d < dom_.rank(); ++d) {
       const auto ud = static_cast<std::size_t>(d);
-      p.owned[ud] = distribution().owned_in_dim(env_->rank(), d);
-      if (p.owned[ud].empty()) return false;
+      p.owned[ud] = dist_->owned_in_dim(env_->rank(), d);
       const std::size_t len = p.owned[ud].size();
-      const auto mlo = static_cast<std::size_t>(m.lo[d]);
-      const auto mhi = static_cast<std::size_t>(m.hi[d]);
+      const auto mlo = m ? static_cast<std::size_t>(m->lo[d]) : 0;
+      const auto mhi = m ? static_cast<std::size_t>(m->hi[d]) : 0;
       p.core_lo[ud] = std::min(mlo, len);
       p.core_hi[ud] =
           std::max(p.core_lo[ud], len - std::min(mhi, len));
@@ -778,32 +758,47 @@ class DistArray final : public DistArrayBase {
     return true;
   }
 
-  /// Calls fn(i, element) for every owned element whose per-dimension
-  /// positions (into the owned index lists) fall in [lo[d], hi[d]), in
-  /// column-major order.
-  template <typename F>
-  void walk_box(const std::array<std::vector<dist::Index>,
+  /// Calls fn(i, base[offset of i]) for every owned element whose
+  /// per-dimension positions (into the owned index lists) fall in
+  /// [lo[d], hi[d]), in column-major order.  A position is the dense
+  /// local index, so for any distribution the storage offset advances by
+  /// the allocation stride as the odometer moves.
+  template <typename U, typename F>
+  void walk_box(U* base,
+                const std::array<std::vector<dist::Index>,
                                  dist::kMaxRank>& owned,
                 const std::array<std::size_t, dist::kMaxRank>& lo,
-                const std::array<std::size_t, dist::kMaxRank>& hi, F&& fn) {
+                const std::array<std::size_t, dist::kMaxRank>& hi,
+                F& fn) const {
     const int r = dom_.rank();
     dist::IndexVec i;
+    dist::Index off = 0;
     for (int d = 0; d < r; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       if (lo[ud] >= hi[ud]) return;
       i.push_back(owned[ud][lo[ud]]);
+      off += (static_cast<dist::Index>(lo[ud]) + ghost_lo_[d]) *
+             alloc_strides_[d];
     }
+    const std::vector<dist::Index>& inner = owned[0];
     std::array<std::size_t, dist::kMaxRank> pos = lo;
     for (;;) {
-      fn(static_cast<const dist::IndexVec&>(i),
-         local_[static_cast<std::size_t>(storage_offset(i))]);
-      int d = 0;
+      // Dimension 0 has allocation stride 1: one contiguous storage run.
+      U* run = base + (off - static_cast<dist::Index>(lo[0]));
+      for (std::size_t k = lo[0]; k < hi[0]; ++k) {
+        i[0] = inner[k];
+        fn(static_cast<const dist::IndexVec&>(i), run[k]);
+      }
+      int d = 1;
       for (; d < r; ++d) {
         const auto ud = static_cast<std::size_t>(d);
         if (++pos[ud] < hi[ud]) {
           i[d] = owned[ud][pos[ud]];
+          off += alloc_strides_[d];
           break;
         }
+        off -= static_cast<dist::Index>(hi[ud] - 1 - lo[ud]) *
+               alloc_strides_[d];
         pos[ud] = lo[ud];
         i[d] = owned[ud][pos[ud]];
       }

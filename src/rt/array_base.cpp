@@ -111,6 +111,73 @@ void DistArrayBase::check_no_exchange_in_flight(const char* op) const {
   }
 }
 
+void DistArrayBase::rebuild_storage_shape() {
+  const int r = dom_.rank();
+  alloc_counts_ = dist::IndexVec::filled(r, 0);
+  alloc_strides_ = dist::IndexVec::filled(r, 0);
+  seg_lo_ = dist::IndexVec::filled(r, 0);
+  halo_lo_ = dist::IndexVec::filled(r, 0);
+  halo_span_ = dist::IndexVec::filled(r, -1);  // unbounded: not affine
+  alloc_total_ = layout_.member ? 1 : 0;
+  affine_ = layout_.member && layout_.total > 0;
+  base_off_ = 0;
+  for (int d = 0; d < r; ++d) {
+    const auto& m = dist_->dim_map(d);
+    contig_[static_cast<std::size_t>(d)] = m.contiguous();
+    if ((ghost_lo_[d] > 0 || ghost_hi_[d] > 0) && !m.contiguous()) {
+      throw std::invalid_argument(
+          "array " + name_ +
+          ": overlap areas require a contiguous distribution in dimension " +
+          std::to_string(d));
+    }
+    if (!layout_.member) continue;
+    if (m.contiguous()) {
+      auto seg = m.segment(static_cast<int>(layout_.coords[d]));
+      seg_lo_[d] = seg ? seg->lo : 0;
+      halo_lo_[d] = seg_lo_[d] - ghost_lo_[d];
+      halo_span_[d] = ghost_lo_[d] + layout_.counts[d] + ghost_hi_[d] - 1;
+    } else {
+      affine_ = false;
+      halo_lo_[d] = m.dom().lo;
+      halo_span_[d] = m.dom().size() - 1;
+    }
+    alloc_counts_[d] = layout_.counts[d] + ghost_lo_[d] + ghost_hi_[d];
+    alloc_strides_[d] = alloc_total_;
+    base_off_ += (ghost_lo_[d] - seg_lo_[d]) * alloc_strides_[d];
+    alloc_total_ *= alloc_counts_[d];
+  }
+}
+
+dist::Index DistArrayBase::storage_offset_general(
+    const dist::IndexVec& i) const {
+  if (!dist_) throw NotDistributedError(name_);
+  dist::Index off = 0;
+  for (int d = 0; d < dom_.rank(); ++d) {
+    const dist::Index l = contig_[static_cast<std::size_t>(d)]
+                              ? i[d] - seg_lo_[d]
+                              : dist_->dim_map(d).local_of(i[d]);
+    off += (l + ghost_lo_[d]) * alloc_strides_[d];
+  }
+  return off;
+}
+
+bool DistArrayBase::halo_readable_general(const dist::IndexVec& i) const {
+  // Reached after the per-dimension box check passed and the affine form
+  // does not apply.  Non-contiguous dimensions carry no overlap, so there
+  // i is readable exactly when this rank owns it.
+  if (!dist_ || !layout_.member || layout_.total == 0) return false;
+  for (int d = 0; d < dom_.rank(); ++d) {
+    if (contig_[static_cast<std::size_t>(d)]) continue;
+    if (dist_->dim_map(d).proc_of(i[d]) != layout_.coords[d]) return false;
+  }
+  return true;
+}
+
+void DistArrayBase::throw_halo_bounds() const {
+  if (!dist_) throw NotDistributedError(name_);
+  throw std::out_of_range("halo access outside overlap area of " + name_);
+}
+
 DistArrayBase::SplitMargins DistArrayBase::split_margins() {
   const std::shared_ptr<const halo::HaloPlan> plan =
       exchange_in_flight_ ? pending_halo_plan_ : lookup_halo_plan();

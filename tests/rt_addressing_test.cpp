@@ -1,0 +1,391 @@
+// Property tests for the local access functions (loc_map, paper Section
+// 3.2.1): storage_offset/halo_offset, the halo() bounds check and the
+// owned-element walkers, against a reference computed from the DimMaps.
+//
+// Seeded chains of BLOCK, BLOCK(M), S_BLOCK, CYCLIC(k), INDIRECT and
+// collapsed distributions are applied at P in {1, 3, 4}, with and without
+// a TO section, through DISTRIBUTE flips and symmetric and asymmetric
+// set_overlap reshapes.  In every state each rank checks:
+//   * storage_offset(i) and halo_offset(i) equal the reference
+//     sum_d (l_d(i) + ghost_lo[d]) * stride[d], where l_d is
+//     dim_map(d).local_of for owned coordinates and the segment-relative
+//     coordinate in the overlap area;
+//   * every index one past an overlap face (and every non-owned index of
+//     a CYCLIC/INDIRECT dimension) throws std::out_of_range naming the
+//     array, and halo_readable agrees with halo() everywhere;
+//   * for_owned, and for_owned_interior + for_owned_boundary, visit every
+//     owned element exactly once with the reference (i, &element) pairs,
+//     for_owned and the interior box in column-major order.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "spmd_test_util.hpp"
+#include "vf/rt/dist_array.hpp"
+
+namespace vf::rt {
+namespace {
+
+using dist::Index;
+using dist::IndexDomain;
+using dist::IndexVec;
+using msg::Context;
+using testing::run_checked;
+using testing::SpmdChecker;
+
+using Array = DistArray<double>;
+
+double value_of(const IndexVec& i) {
+  double v = 0.0;
+  for (const Index x : i) v = v * 131.0 + static_cast<double>(x);
+  return v;
+}
+
+/// Reference geometry of `a` on this rank, from the DimMaps, the layout
+/// and the local overlap spec only.
+struct RefGeometry {
+  const Array& a;
+  IndexVec glo, ghi, stride;
+
+  explicit RefGeometry(const Array& arr) : a(arr) {
+    const int r = a.domain().rank();
+    const dist::LocalLayout& L = a.layout();
+    Index s = 1;
+    for (int d = 0; d < r; ++d) {
+      glo.push_back(a.halo_spec()->lo(d));
+      ghi.push_back(a.halo_spec()->hi(d));
+      stride.push_back(s);
+      s *= L.member ? L.counts[d] + glo[d] + ghi[d] : 0;
+    }
+  }
+
+  [[nodiscard]] bool owns_in(int d, Index g) const {
+    return a.domain().dim(d).contains(g) &&
+           a.distribution().dim_map(d).proc_of(g) == a.layout().coords[d];
+  }
+  [[nodiscard]] dist::Range segment(int d) const {
+    return *a.distribution().dim_map(d).segment(
+        static_cast<int>(a.layout().coords[d]));
+  }
+  [[nodiscard]] Index offset(const IndexVec& i) const {
+    Index off = 0;
+    for (int d = 0; d < a.domain().rank(); ++d) {
+      const Index l = owns_in(d, i[d])
+                          ? a.distribution().dim_map(d).local_of(i[d])
+                          : i[d] - segment(d).lo;
+      off += (l + glo[d]) * stride[d];
+    }
+    return off;
+  }
+};
+
+template <typename E, typename F>
+void expect_throw(SpmdChecker& ck, int rank, F&& fn, const std::string& what) {
+  try {
+    fn();
+    ck.fail("[rank " + std::to_string(rank) + "] " + what + ": no throw");
+  } catch (const E&) {
+  }
+}
+
+void expect_halo_throws(SpmdChecker& ck, int rank, const Array& a,
+                        const IndexVec& i, const std::string& what) {
+  ck.check(!a.halo_readable(i), rank, what + ": halo_readable " +
+                                          i.to_string());
+  try {
+    (void)a.halo(i);
+    ck.fail("[rank " + std::to_string(rank) + "] " + what +
+            ": halo() did not throw at " + i.to_string());
+  } catch (const std::out_of_range& e) {
+    ck.check(std::string(e.what()).find(a.name()) != std::string::npos, rank,
+             what + ": message names the array");
+  }
+}
+
+/// Every check of the file for the array's current state on this rank.
+void check_state(SpmdChecker& ck, int rank, Array& a,
+                 const std::string& where) {
+  const IndexDomain& dom = a.domain();
+  const int r = dom.rank();
+  const RefGeometry ref(a);
+  const dist::LocalLayout& L = a.layout();
+  const bool owns_some = L.member && L.total > 0;
+
+  // Reference owned set, in global column-major order.
+  std::vector<IndexVec> owned;
+  a.distribution().for_owned(rank, [&](const IndexVec& i) {
+    owned.push_back(i);
+  });
+  std::vector<std::pair<IndexVec, const double*>> want;
+  const std::span<const double> local = std::as_const(a).local_span();
+  for (const IndexVec& i : owned) {
+    const Index off = ref.offset(i);
+    ck.check_eq(a.storage_offset(i), off, rank,
+                where + ": storage_offset " + i.to_string());
+    ck.check_eq(a.halo_offset(i), off, rank,
+                where + ": halo_offset " + i.to_string());
+    ck.check_eq(a.at(i), value_of(i), rank, where + ": value " + i.to_string());
+    want.emplace_back(i, local.data() + off);
+  }
+
+  // for_owned (mutable and const) visits the reference pairs in order.
+  std::vector<std::pair<IndexVec, const double*>> got;
+  a.for_owned([&](const IndexVec& i, double& x) { got.emplace_back(i, &x); });
+  ck.check(got == want, rank, where + ": for_owned pairs");
+  got.clear();
+  std::as_const(a).for_owned(
+      [&](const IndexVec& i, const double& x) { got.emplace_back(i, &x); });
+  ck.check(got == want, rank, where + ": const for_owned pairs");
+
+  // Interior + boundary under explicit margins: a disjoint cover.
+  const auto column_major = [&](const auto& x, const auto& y) {
+    return dom.linearize(x.first) < dom.linearize(y.first);
+  };
+  for (Index m = 0; m <= 3; ++m) {
+    const Array::SplitMargins margins{IndexVec::filled(r, m),
+                                      IndexVec::filled(r, (m + 1) % 3)};
+    std::vector<std::pair<IndexVec, const double*>> inner;
+    a.for_owned_interior(margins, [&](const IndexVec& i, double& x) {
+      inner.emplace_back(i, &x);
+    });
+    ck.check(std::is_sorted(inner.begin(), inner.end(), column_major), rank,
+             where + ": interior in column-major order");
+    got = inner;
+    a.for_owned_boundary(margins, [&](const IndexVec& i, double& x) {
+      got.emplace_back(i, &x);
+    });
+    std::sort(got.begin(), got.end(), column_major);
+    ck.check(got == want, rank,
+             where + ": interior + boundary cover, m=" + std::to_string(m));
+  }
+
+  if (!owns_some) {
+    // Nothing to read: every domain point (and a few beyond) throws.
+    ck.check(owned.empty(), rank, where + ": empty rank owns nothing");
+    IndexVec i = IndexVec::filled(r, 0);
+    for (int d = 0; d < r; ++d) i[d] = dom.dim(d).lo;
+    expect_halo_throws(ck, rank, a, i, where + " (owns nothing)");
+    for (int d = 0; d < r; ++d) i[d] = dom.dim(d).hi + 1;
+    expect_halo_throws(ck, rank, a, i, where + " (owns nothing)");
+    return;
+  }
+
+  // The readable region: the ghost-padded segment in contiguous
+  // dimensions, the owned coordinates elsewhere.
+  std::array<std::vector<Index>, dist::kMaxRank> axis;
+  for (int d = 0; d < r; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    if (a.distribution().dim_map(d).contiguous()) {
+      const dist::Range s = ref.segment(d);
+      for (Index g = s.lo - ref.glo[d]; g <= s.hi + ref.ghi[d]; ++g) {
+        axis[ud].push_back(g);
+      }
+    } else {
+      axis[ud] = a.distribution().owned_in_dim(rank, d);
+    }
+  }
+  std::array<std::size_t, dist::kMaxRank> pos{};
+  IndexVec i = IndexVec::filled(r, 0);
+  for (;;) {
+    for (int d = 0; d < r; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      i[d] = axis[ud][pos[ud]];
+    }
+    ck.check(a.halo_readable(i), rank, where + ": readable " + i.to_string());
+    ck.check_eq(a.halo_offset(i), ref.offset(i), rank,
+                where + ": halo_offset " + i.to_string());
+    int d = 0;
+    for (; d < r; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (++pos[ud] < axis[ud].size()) break;
+      pos[ud] = 0;
+    }
+    if (d == r) break;
+  }
+
+  // One past each face, from the first owned point.
+  for (int d = 0; d < r; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    IndexVec p = owned.front();
+    if (a.distribution().dim_map(d).contiguous()) {
+      p[d] = axis[ud].front() - 1;
+      expect_halo_throws(ck, rank, a, p, where + ": low face");
+      p[d] = axis[ud].back() + 1;
+      expect_halo_throws(ck, rank, a, p, where + ": high face");
+    } else {
+      for (Index g = dom.dim(d).lo; g <= dom.dim(d).hi; ++g) {
+        if (ref.owns_in(d, g)) continue;
+        p[d] = g;
+        expect_halo_throws(ck, rank, a, p, where + ": unowned coordinate");
+      }
+    }
+  }
+}
+
+/// A random per-dimension distribution of extent n over np coordinates.
+dist::DimDist random_dim(std::mt19937& rng, Index n, int np) {
+  switch (rng() % 5) {
+    case 0:
+      return dist::block();
+    case 1:
+      return dist::block_width((n + np - 1) / np +
+                               static_cast<Index>(rng() % 2));
+    case 2: {
+      std::vector<Index> sizes(static_cast<std::size_t>(np));
+      for (Index k = 0; k < n; ++k) ++sizes[rng() % sizes.size()];
+      return dist::s_block(sizes);
+    }
+    case 3:
+      return dist::cyclic(1 + static_cast<Index>(rng() % 3));
+    default: {
+      std::vector<int> owners(static_cast<std::size_t>(n));
+      for (int& o : owners) {
+        o = static_cast<int>(rng() % static_cast<unsigned>(np));
+      }
+      return dist::indirect(owners);
+    }
+  }
+}
+
+/// One seeded chain on P ranks.  `grid` maps the first two dimensions onto
+/// a 2x2 processor grid (P == 4); otherwise one dimension is distributed
+/// over a line and the others are collapsed.
+void run_chain(int nprocs, bool grid, unsigned seed) {
+  run_checked(nprocs, [&](Context& ctx, SpmdChecker& ck) {
+    const int me = ctx.rank();
+    const dist::ProcessorArray procs =
+        grid ? dist::ProcessorArray::grid(2, 2)
+             : dist::ProcessorArray::line(nprocs);
+    Env env(ctx, procs);
+    const IndexDomain dom = IndexDomain::of_extents({9, 7, 3});
+    std::mt19937 rng(seed);  // SPMD-uniform: every rank draws the same
+
+    // Undistributed: every access function refuses.
+    Array a(env, {.name = "Addr" + std::to_string(seed),
+                  .domain = dom,
+                  .dynamic = true});
+    const IndexVec first{1, 1, 1};
+    expect_throw<NotDistributedError>(
+        ck, me, [&] { (void)a.storage_offset(first); }, "storage_offset");
+    expect_throw<NotDistributedError>(
+        ck, me, [&] { (void)a.halo_offset(first); }, "halo_offset");
+    expect_throw<NotDistributedError>(
+        ck, me, [&] { (void)a.halo(first); }, "halo");
+    expect_throw<NotDistributedError>(
+        ck, me, [&] { a.for_owned([](const IndexVec&, double&) {}); },
+        "for_owned");
+    ck.check(!a.halo_readable(first), me, "undistributed: not readable");
+
+    for (int step = 0; step < 10; ++step) {
+      // Pick the target: distributed dimensions, kinds and the section.
+      std::vector<dist::DimDist> dims(3, dist::col());
+      dist::ProcessorSection sec(procs);
+      const bool to = nprocs > 1 && rng() % 2 == 0;
+      if (grid) {
+        // With a TO section: one column of the grid, dimension 1 collapsed.
+        dims[0] = random_dim(rng, dom.dim(0).size(), 2);
+        if (to) {
+          const Index column = 1 + static_cast<Index>(rng() % 2);
+          sec = dist::ProcessorSection(
+              procs, {dist::SectionDim::all(dist::Range{1, 2}),
+                      dist::SectionDim::at(column)});
+        } else {
+          dims[1] = random_dim(rng, dom.dim(1).size(), 2);
+        }
+      } else {
+        const int np = to ? nprocs - 1 : nprocs;
+        if (to) {
+          sec = dist::ProcessorSection(
+              procs, {dist::SectionDim::all(dist::Range{1, np})});
+        }
+        const auto d = static_cast<std::size_t>(rng() % 3);
+        dims[d] = random_dim(rng, dom.dim(static_cast<int>(d)).size(), np);
+      }
+      const dist::DistHandle h = env.registry().intern(
+          dom, dist::DistributionType(std::move(dims)), sec);
+
+      // Overlap areas must be dropped before a dimension carrying one
+      // becomes non-contiguous.
+      bool keep = a.has_distribution();
+      for (int d = 0; d < 3 && keep; ++d) {
+        keep = h->dim_map(d).contiguous() ||
+               (a.halo_spec()->lo(d) == 0 && a.halo_spec()->hi(d) == 0);
+      }
+      if (!keep) a.set_overlap({0, 0, 0}, {0, 0, 0}, false, false);
+      if (!a.has_distribution()) {
+        a.distribute(h);
+        a.init(value_of);
+      } else {
+        a.distribute(h);
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      check_state(ck, me, a, where + " distribute");
+
+      // Reshape the overlap: symmetric, or a per-rank asymmetric spec.
+      const bool asym = rng() % 2 == 0;
+      const unsigned base = rng();
+      IndexVec lo = IndexVec::filled(3, 0);
+      IndexVec hi = IndexVec::filled(3, 0);
+      for (int d = 0; d < 3; ++d) {
+        if (!h->dim_map(d).contiguous()) continue;
+        const unsigned salt = asym ? static_cast<unsigned>(me) : 0u;
+        lo[d] = static_cast<Index>((base >> (2 * d)) + salt) % 3;
+        hi[d] = static_cast<Index>((base >> (2 * d + 6)) + 2 * salt) % 3;
+      }
+      a.set_overlap(lo, hi, rng() % 2 == 0, asym);
+      check_state(ck, me, a, where + " set_overlap");
+    }
+  });
+}
+
+TEST(Addressing, SeededChainsP1) {
+  for (unsigned seed = 1; seed <= 6; ++seed) run_chain(1, false, seed);
+}
+
+TEST(Addressing, SeededChainsP3) {
+  for (unsigned seed = 11; seed <= 16; ++seed) run_chain(3, false, seed);
+}
+
+TEST(Addressing, SeededChainsP4Line) {
+  for (unsigned seed = 21; seed <= 26; ++seed) run_chain(4, false, seed);
+}
+
+TEST(Addressing, SeededChainsP4Grid) {
+  for (unsigned seed = 31; seed <= 36; ++seed) run_chain(4, true, seed);
+}
+
+// Regression: a rank outside the TO section used to pass the halo bounds
+// check (its layout has no counts and a zero segment base), so halo()
+// read through the empty local storage.
+TEST(Addressing, NonMemberHaloThrows) {
+  run_checked(4, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    const dist::ProcessorSection sec(
+        env.processors(), {dist::SectionDim::all(dist::Range{1, 2})});
+    Array a(env, {.name = "NM",
+                  .domain = IndexDomain::of_extents({16}),
+                  .dynamic = true,
+                  .initial = dist::DistributionType{dist::block()},
+                  .to = sec,
+                  .overlap_lo = {2},
+                  .overlap_hi = {2}});
+    a.init(value_of);
+    if (ctx.rank() < 2) {
+      ck.check(a.halo_readable({1}) == (ctx.rank() == 0), ctx.rank(),
+               "member: own segment or overlap");
+      ck.check(a.halo_readable({10}), ctx.rank(), "member: ghost of 9|10");
+      return;
+    }
+    for (Index g = -2; g <= 18; ++g) {
+      expect_halo_throws(ck, ctx.rank(), a, IndexVec{g}, "non-member");
+    }
+  });
+}
+
+}  // namespace
+}  // namespace vf::rt
