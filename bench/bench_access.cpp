@@ -1,11 +1,14 @@
 // E9 -- access functions and overlap areas (Section 3.2.1): local access
-// through loc_map is O(1); non-local access is worth batching.  Five
+// through loc_map is O(1); non-local access is worth batching.  Seven
 // measurements:
 //   * LocalAccess: at() on owned elements (ns/element);
 //   * Stencil9Halo / Stencil9Raw: one 9-point smoothing sweep at P = 1,
 //     n = 512, through for_owned/at/halo and on a raw std::vector
 //     (ns_per_point); their ratio is the access-function overhead over a
 //     plain array sweep;
+//   * Stencil7Halo / Stencil7Raw: the same comparison for a 7-point sweep
+//     on an n^3 (BLOCK,BLOCK,BLOCK) array, n = 64 -- the rank-3 access
+//     path, which no rank-2 row exercises;
 //   * OverlapStencil: a stencil step with one bulk overlap exchange;
 //   * ElementwiseRemote: the same boundary data fetched through
 //     per-element schedules -- one message per element, the cost the
@@ -130,6 +133,96 @@ void BM_Stencil9Raw(benchmark::State& state) {
   state.counters["ns_per_point"] = ns_per_point(n * n);
 }
 
+/// The 7-point combine: centre weight 1/2, each face neighbour 1/12.
+double stencil7_combine(double c, double w, double e, double s, double n,
+                        double b, double t) {
+  return 0.5 * c + (w + e + s + n + b + t) / 12.0;
+}
+
+double seed_value3(Index i, Index j, Index k) {
+  return static_cast<double>((i * 7919 + j * 104729 + k * 1299709) % 1000) /
+         1000.0;
+}
+
+// A 7-point sweep on (BLOCK, BLOCK, BLOCK) with an overlap of 1, boundary
+// points reading their own value for the missing neighbours.
+void BM_Stencil7Halo(benchmark::State& state) {
+  msg::Machine machine(1);
+  msg::Context ctx(machine, 0);
+  rt::Env env(ctx, dist::ProcessorArray("R3", IndexDomain::of_extents(
+                                                  {1, 1, 1})));
+  const Index n = state.range(0);
+  rt::DistArray<double>::Spec spec{
+      .name = "A",
+      .domain = IndexDomain::of_extents({n, n, n}),
+      .initial = dist::DistributionType{dist::block(), dist::block(),
+                                        dist::block()},
+      .overlap_lo = {1, 1, 1},
+      .overlap_hi = {1, 1, 1}};
+  rt::DistArray<double> a(env, spec);
+  spec.name = "B";
+  rt::DistArray<double> b(env, spec);
+  a.init([](const IndexVec& i) { return seed_value3(i[0], i[1], i[2]); });
+  a.exchange_overlap();
+  benchmark::DoNotOptimize(b.local_span().data());
+  for (auto _ : state) {
+    const rt::DistArray<double>& s = a;
+    b.for_owned([&](const IndexVec& i, double& out) {
+      const double c = s.at(i);
+      const auto rd = [&](Index di, Index dj, Index dk) {
+        const Index x = i[0] + di;
+        const Index y = i[1] + dj;
+        const Index z = i[2] + dk;
+        return (x < 1 || x > n || y < 1 || y > n || z < 1 || z > n)
+                   ? c
+                   : s.halo({x, y, z});
+      };
+      out = stencil7_combine(c, rd(-1, 0, 0), rd(+1, 0, 0), rd(0, -1, 0),
+                             rd(0, +1, 0), rd(0, 0, -1), rd(0, 0, +1));
+    });
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_point"] = ns_per_point(n * n * n);
+}
+
+// The same 7-point sweep on a raw column-major std::vector.
+void BM_Stencil7Raw(benchmark::State& state) {
+  const Index n = state.range(0);
+  const auto at = [n](Index i, Index j, Index k) {
+    return static_cast<std::size_t>((i - 1) + ((j - 1) + (k - 1) * n) * n);
+  };
+  std::vector<double> a(static_cast<std::size_t>(n * n * n));
+  std::vector<double> b(a.size());
+  for (Index k = 1; k <= n; ++k) {
+    for (Index j = 1; j <= n; ++j) {
+      for (Index i = 1; i <= n; ++i) a[at(i, j, k)] = seed_value3(i, j, k);
+    }
+  }
+  benchmark::DoNotOptimize(b.data());
+  for (auto _ : state) {
+    for (Index k = 1; k <= n; ++k) {
+      for (Index j = 1; j <= n; ++j) {
+        for (Index i = 1; i <= n; ++i) {
+          const double c = a[at(i, j, k)];
+          const auto rd = [&](Index di, Index dj, Index dk) {
+            const Index x = i + di;
+            const Index y = j + dj;
+            const Index z = k + dk;
+            return (x < 1 || x > n || y < 1 || y > n || z < 1 || z > n)
+                       ? c
+                       : a[at(x, y, z)];
+          };
+          b[at(i, j, k)] = stencil7_combine(
+              c, rd(-1, 0, 0), rd(+1, 0, 0), rd(0, -1, 0), rd(0, +1, 0),
+              rd(0, 0, -1), rd(0, 0, +1));
+        }
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_point"] = ns_per_point(n * n * n);
+}
+
 void BM_OverlapStencil(benchmark::State& state) {
   constexpr int kProcs = 4;
   constexpr Index kN = 256;
@@ -206,5 +299,7 @@ void BM_ElementwiseRemote(benchmark::State& state) {
 BENCHMARK(BM_LocalAccess)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Stencil9Halo)->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Stencil9Raw)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stencil7Halo)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stencil7Raw)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OverlapStencil)->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_ElementwiseRemote)->Unit(benchmark::kMillisecond)->Iterations(2);

@@ -375,17 +375,24 @@ class DistArrayBase {
 
   // Every array whose distributed dimensions are all contiguous (BLOCK,
   // BLOCK(M), S_BLOCK, collapsed) on a rank that owns something takes the
-  // affine form precomputed by rebuild_storage_shape(): O(rank) inline
-  // multiply-adds.  CYCLIC/INDIRECT dimensions and non-member ranks take
-  // the general per-dimension DimMap path, out of line.
+  // affine form precomputed by rebuild_storage_shape(): inline
+  // multiply-adds whose loop bound is the index's own size, a constant for
+  // a braced index such as halo({x, y}).  CYCLIC/INDIRECT dimensions and
+  // non-member ranks take the general per-dimension DimMap path through a
+  // cold out-of-line call that takes the index's components as scalars,
+  // so the hot path never has to store the index to memory.  The two
+  // accessors are always_inline: otherwise GCC's partial inlining may
+  // outline the cold branch into a clone that takes the IndexVec by
+  // reference, and the caller stores its index again.
 
   /// Flat local-storage offset of an owned element (no ownership check;
-  /// the caller guarantees this rank owns i).
-  [[nodiscard]] dist::Index storage_offset(const dist::IndexVec& i) const {
-    if (!affine_) return storage_offset_general(i);
-    dist::Index off = base_off_;
-    for (int d = 0; d < dom_.rank(); ++d) off += i[d] * alloc_strides_[d];
-    return off;
+  /// the caller guarantees this rank owns i, with i.size() == rank).
+  [[gnu::always_inline]] [[nodiscard]] dist::Index storage_offset(
+      const dist::IndexVec& i) const {
+    if (!affine_) [[unlikely]] {
+      return storage_offset_cold(i[0], i[1], i[2], i[3], i.size());
+    }
+    return affine_offset(i);
   }
 
   /// Total allocated elements (owned extent plus ghost padding).
@@ -395,32 +402,27 @@ class DistArrayBase {
 
   /// Storage offset for a halo-readable element (bounds-checked against
   /// the overlap widths on every path; std::out_of_range naming the array
-  /// otherwise): the access function overlap-area reads -- the halo()
+  /// otherwise, including for an index whose size is not the array's
+  /// rank): the access function overlap-area reads -- the halo()
   /// accessor and PARTI halo bindings -- translate through.  The affine
-  /// form checks and accumulates in one pass.
-  [[nodiscard]] dist::Index halo_offset(const dist::IndexVec& i) const {
-    if (!affine_) {
-      if (!halo_readable(i)) throw_halo_bounds();
-      return storage_offset_general(i);
+  /// form folds the rank test and every per-dimension bounds test into one
+  /// branch; a failing index, like every non-affine one, takes the cold
+  /// call, which checks again and throws.
+  [[gnu::always_inline]] [[nodiscard]] dist::Index halo_offset(
+      const dist::IndexVec& i) const {
+    if (!(affine_ & in_halo_box(i))) [[unlikely]] {
+      return halo_offset_cold(i[0], i[1], i[2], i[3], i.size());
     }
-    dist::Index off = base_off_;
-    for (int d = 0; d < dom_.rank(); ++d) {
-      if (!in_halo_extent(d, i[d])) throw_halo_bounds();
-      off += i[d] * alloc_strides_[d];
-    }
-    return off;
+    return affine_offset(i);
   }
 
   /// Whether this rank may read global index i through halo() /
-  /// halo_offset(): i is owned or lies within the overlap widths of the
-  /// owned block.  A rank that owns nothing (outside the TO section, or an
-  /// empty block) can read nothing.  Shares in_halo_extent with
-  /// halo_offset, so the two cannot disagree.
+  /// halo_offset(): i has the array's rank and is owned or lies within
+  /// the overlap widths of the owned block.  A rank that owns nothing
+  /// (outside the TO section, or an empty block) can read nothing.
+  /// Shares in_halo_box with halo_offset, so the two cannot disagree.
   [[nodiscard]] bool halo_readable(const dist::IndexVec& i) const {
-    for (int d = 0; d < dom_.rank(); ++d) {
-      if (!in_halo_extent(d, i[d])) return false;
-    }
-    return affine_ || halo_readable_general(i);
+    return in_halo_box(i) && (affine_ || halo_readable_general(i));
   }
 
  protected:
@@ -471,14 +473,69 @@ class DistArrayBase {
            static_cast<std::uint64_t>(halo_span_[d]);
   }
 
-  /// General (non-affine) halves of the access functions: per-dimension
-  /// DimMap translation, and ownership in the non-contiguous dimensions.
-  [[gnu::noinline]] [[nodiscard]] dist::Index storage_offset_general(
+  /// The rank test and every dimension's in_halo_extent, combined without
+  /// a branch per dimension.  Loops to i.size() (never past kMaxRank, and
+  /// halo_lo_/halo_span_ are zero beyond the rank), so an index of the
+  /// wrong size is rejected without reading out of bounds.
+  [[nodiscard]] bool in_halo_box(const dist::IndexVec& i) const {
+    const int n = static_cast<int>(i.size());
+    bool ok = n == dom_.rank();
+    for (int d = 0; d < n; ++d) ok &= in_halo_extent(d, i[d]);
+    return ok;
+  }
+
+  /// The affine offset base_off_ + sum_d i[d] * alloc_strides_[d], with
+  /// dimension 0's stride of 1 (column-major) folded in.
+  [[nodiscard]] dist::Index affine_offset(const dist::IndexVec& i) const {
+    dist::Index off = base_off_ + i[0];
+    for (int d = 1; d < static_cast<int>(i.size()); ++d) {
+      off += i[d] * alloc_strides_[d];
+    }
+    return off;
+  }
+
+  /// General (non-affine) halves of the access functions, out of line and
+  /// cold: per-dimension DimMap translation (throwing NotDistributedError
+  /// without a distribution), and the halo() bounds and ownership checks
+  /// before it.  The index arrives as its kMaxRank components and its
+  /// size, all in registers: an IndexVec by value would be passed in
+  /// memory, and by reference it needs an address -- either way inlined
+  /// callers would store every index on the hot path.
+  [[gnu::noinline, gnu::cold]] [[nodiscard]] dist::Index storage_offset_cold(
+      dist::Index i0, dist::Index i1, dist::Index i2, dist::Index i3,
+      std::size_t n) const;
+  [[gnu::noinline, gnu::cold]] [[nodiscard]] dist::Index halo_offset_cold(
+      dist::Index i0, dist::Index i1, dist::Index i2, dist::Index i3,
+      std::size_t n) const;
+  /// The general DimMap translation behind storage_offset_cold.
+  [[nodiscard]] dist::Index storage_offset_general(
       const dist::IndexVec& i) const;
+  /// Ownership in the non-contiguous dimensions, after in_halo_box passed.
   [[gnu::noinline]] [[nodiscard]] bool halo_readable_general(
       const dist::IndexVec& i) const;
   /// Throws NotDistributedError, or std::out_of_range naming the array.
   [[noreturn]] [[gnu::cold]] void throw_halo_bounds() const;
+
+  // ---- owned-element traversal geometry (for the DistArray walkers) ------
+
+  /// Per-dimension positions (into the owned index lists) of a box.
+  using Box = std::array<std::size_t, dist::kMaxRank>;
+
+  /// Per-dimension owned index lists plus the position bounds of the core
+  /// (interior) box under a set of margins.
+  struct OwnedPartition {
+    std::array<std::vector<dist::Index>, dist::kMaxRank> owned;
+    Box core_lo{};
+    Box core_hi{};
+  };
+
+  /// Fills `p` for this rank; returns false when the rank owns nothing.
+  /// core = positions [min(m_lo, len), max(that, len - m_hi)) per dim --
+  /// clamped so oversized margins yield an empty core, never wrap.  Null
+  /// margins make the core the whole owned block.  Throws
+  /// NotDistributedError without a distribution.
+  [[nodiscard]] bool owned_partition(const SplitMargins* m,
+                                     OwnedPartition& p) const;
 
   /// Precondition checks shared by both distribute() entry points.
   void check_distribute_legal(const NoTransfer& nt) const;

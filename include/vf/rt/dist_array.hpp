@@ -91,7 +91,8 @@ class DistArray final : public DistArrayBase {
 
   // ---- local access (owner-computes fast path) ---------------------------
   // at()/halo() translate through storage_offset/halo_offset: inline affine
-  // adds when every dimension is contiguous (see array_base.hpp).
+  // adds with one fused bounds branch when every dimension is contiguous;
+  // anything else is a cold out-of-line call (see array_base.hpp).
 
   /// Reference to owned element i; undefined behaviour if this rank does
   /// not own i (asserted in debug builds).
@@ -114,10 +115,11 @@ class DistArray final : public DistArrayBase {
   }
 
   /// Read access that may fall into the overlap area: legal for indices
-  /// within `overlap` of this rank's owned segment in contiguous
-  /// dimensions.  Bounds-checked on every call: anything else, including
-  /// every index on a rank that owns nothing, throws std::out_of_range.
-  /// Call exchange_overlap() first to make ghost values current.
+  /// of the array's rank within `overlap` of this rank's owned segment in
+  /// contiguous dimensions.  Bounds-checked on every call: anything else,
+  /// including an index of the wrong rank and every index on a rank that
+  /// owns nothing, throws std::out_of_range naming the array.  Call
+  /// exchange_overlap() first to make ghost values current.
   [[nodiscard]] const T& halo(const dist::IndexVec& i) const {
     return local_[static_cast<std::size_t>(halo_offset(i))];
   }
@@ -131,19 +133,16 @@ class DistArray final : public DistArrayBase {
 
   /// Calls fn(i, element) for every owned element, in global column-major
   /// order.  fn is a templated callable -- no std::function indirection on
-  /// the iteration path; the element offset advances incrementally with
-  /// the index (walk_box), never recomputed per point.
+  /// the iteration path; the index is built once per box at the array's
+  /// rank and the element offset advances incrementally with it
+  /// (walk_box), never recomputed per point.
   template <typename F>
   void for_owned(F&& fn) {
-    OwnedPartition p;
-    if (!owned_partition(nullptr, p)) return;
-    walk_box(local_.data(), p.owned, p.core_lo, p.core_hi, fn);
+    walk_core(local_.data(), nullptr, fn);
   }
   template <typename F>
   void for_owned(F&& fn) const {
-    OwnedPartition p;
-    if (!owned_partition(nullptr, p)) return;
-    walk_box(local_.data(), p.owned, p.core_lo, p.core_hi, fn);
+    walk_core(local_.data(), nullptr, fn);
   }
 
   void fill(const T& v) {
@@ -258,9 +257,7 @@ class DistArray final : public DistArrayBase {
   /// ghosts) partitions its own traversal by the source's margins.
   template <typename F>
   void for_owned_interior(const SplitMargins& m, F&& fn) {
-    OwnedPartition p;
-    if (!owned_partition(&m, p)) return;
-    walk_box(local_.data(), p.owned, p.core_lo, p.core_hi, fn);
+    walk_core(local_.data(), &m, fn);
   }
 
   /// Complement of for_owned_interior under the same margins: the owned
@@ -281,15 +278,15 @@ class DistArray final : public DistArrayBase {
     // the slabs are disjoint and their union with the core box is the
     // whole owned block.
     const auto r = static_cast<std::size_t>(dom_.rank());
-    std::array<std::size_t, dist::kMaxRank> lo{};
-    std::array<std::size_t, dist::kMaxRank> hi{};
+    Box lo{};
+    Box hi{};
     for (std::size_t d = 0; d < r; ++d) hi[d] = p.owned[d].size();
     for (std::size_t d = 0; d < r; ++d) {
       hi[d] = p.core_lo[d];
-      walk_box(local_.data(), p.owned, lo, hi, fn);
+      walk_box(local_.data(), p, lo, hi, fn);
       lo[d] = p.core_hi[d];
       hi[d] = p.owned[d].size();
-      walk_box(local_.data(), p.owned, lo, hi, fn);
+      walk_box(local_.data(), p, lo, hi, fn);
       lo[d] = p.core_lo[d];
       hi[d] = p.core_hi[d];
     }
@@ -729,59 +726,38 @@ class DistArray final : public DistArrayBase {
 
   // ---- split-phase traversal helpers --------------------------------------
 
-  /// Per-dimension owned index lists plus the position bounds of the core
-  /// (interior) box under a set of margins.
-  struct OwnedPartition {
-    std::array<std::vector<dist::Index>, dist::kMaxRank> owned;
-    std::array<std::size_t, dist::kMaxRank> core_lo{};
-    std::array<std::size_t, dist::kMaxRank> core_hi{};
-  };
-
-  /// Fills `p` for this rank; returns false when the rank owns nothing.
-  /// core = positions [min(m_lo, len), max(that, len - m_hi)) per dim --
-  /// clamped so oversized margins yield an empty core, never wrap.  Null
-  /// margins make the core the whole owned block.
-  [[nodiscard]] bool owned_partition(const SplitMargins* m,
-                                     OwnedPartition& p) const {
-    if (!dist_) throw NotDistributedError(name_);
-    if (!layout_.member || layout_.total == 0) return false;
-    for (int d = 0; d < dom_.rank(); ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      p.owned[ud] = dist_->owned_in_dim(env_->rank(), d);
-      const std::size_t len = p.owned[ud].size();
-      const auto mlo = m ? static_cast<std::size_t>(m->lo[d]) : 0;
-      const auto mhi = m ? static_cast<std::size_t>(m->hi[d]) : 0;
-      p.core_lo[ud] = std::min(mlo, len);
-      p.core_hi[ud] =
-          std::max(p.core_lo[ud], len - std::min(mhi, len));
-    }
-    return true;
+  /// Walks the core box of this rank's owned partition under margins `m`
+  /// (the whole owned block when null).
+  template <typename U, typename F>
+  void walk_core(U* base, const SplitMargins* m, F& fn) const {
+    OwnedPartition p;
+    if (!owned_partition(m, p)) return;
+    walk_box(base, p, p.core_lo, p.core_hi, fn);
   }
 
   /// Calls fn(i, base[offset of i]) for every owned element whose
-  /// per-dimension positions (into the owned index lists) fall in
-  /// [lo[d], hi[d]), in column-major order.  A position is the dense
-  /// local index, so for any distribution the storage offset advances by
-  /// the allocation stride as the odometer moves.
+  /// per-dimension positions fall in [lo[d], hi[d]), in column-major
+  /// order.  A position is the dense local index, so for any distribution
+  /// the storage offset advances by the allocation stride as the odometer
+  /// moves.  The index is built once at the array's rank, and fn has this
+  /// one call site per callable type: a walker instantiated per rank would
+  /// give every callback one copy per rank, and GCC then stops inlining
+  /// kernels once the unit's inline-growth budget runs out.
   template <typename U, typename F>
-  void walk_box(U* base,
-                const std::array<std::vector<dist::Index>,
-                                 dist::kMaxRank>& owned,
-                const std::array<std::size_t, dist::kMaxRank>& lo,
-                const std::array<std::size_t, dist::kMaxRank>& hi,
-                F& fn) const {
+  void walk_box(U* base, const OwnedPartition& p, const Box& lo,
+                const Box& hi, F& fn) const {
     const int r = dom_.rank();
-    dist::IndexVec i;
+    dist::IndexVec i = dist::IndexVec::filled(r, 0);
     dist::Index off = 0;
     for (int d = 0; d < r; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       if (lo[ud] >= hi[ud]) return;
-      i.push_back(owned[ud][lo[ud]]);
+      i[d] = p.owned[ud][lo[ud]];
       off += (static_cast<dist::Index>(lo[ud]) + ghost_lo_[d]) *
              alloc_strides_[d];
     }
-    const std::vector<dist::Index>& inner = owned[0];
-    std::array<std::size_t, dist::kMaxRank> pos = lo;
+    const std::vector<dist::Index>& inner = p.owned[0];
+    Box pos = lo;
     for (;;) {
       // Dimension 0 has allocation stride 1: one contiguous storage run.
       U* run = base + (off - static_cast<dist::Index>(lo[0]));
@@ -793,14 +769,14 @@ class DistArray final : public DistArrayBase {
       for (; d < r; ++d) {
         const auto ud = static_cast<std::size_t>(d);
         if (++pos[ud] < hi[ud]) {
-          i[d] = owned[ud][pos[ud]];
+          i[d] = p.owned[ud][pos[ud]];
           off += alloc_strides_[d];
           break;
         }
         off -= static_cast<dist::Index>(hi[ud] - 1 - lo[ud]) *
                alloc_strides_[d];
         pos[ud] = lo[ud];
-        i[d] = owned[ud][pos[ud]];
+        i[d] = p.owned[ud][pos[ud]];
       }
       if (d >= r) break;
     }

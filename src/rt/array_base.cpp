@@ -1,5 +1,6 @@
 #include "vf/rt/array_base.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "vf/dist/skew.hpp"
@@ -148,6 +149,34 @@ void DistArrayBase::rebuild_storage_shape() {
   }
 }
 
+namespace {
+
+/// Reassembles an index passed to a cold entry point as scalars.
+dist::IndexVec unpack_index(dist::Index i0, dist::Index i1, dist::Index i2,
+                            dist::Index i3, std::size_t n) {
+  static_assert(dist::kMaxRank == 4, "one scalar per component");
+  const std::array<dist::Index, dist::kMaxRank> c{i0, i1, i2, i3};
+  dist::IndexVec i;
+  for (std::size_t d = 0; d < n; ++d) i.push_back(c[d]);
+  return i;
+}
+
+}  // namespace
+
+dist::Index DistArrayBase::storage_offset_cold(dist::Index i0, dist::Index i1,
+                                               dist::Index i2, dist::Index i3,
+                                               std::size_t n) const {
+  return storage_offset_general(unpack_index(i0, i1, i2, i3, n));
+}
+
+dist::Index DistArrayBase::halo_offset_cold(dist::Index i0, dist::Index i1,
+                                            dist::Index i2, dist::Index i3,
+                                            std::size_t n) const {
+  const dist::IndexVec i = unpack_index(i0, i1, i2, i3, n);
+  if (!halo_readable(i)) throw_halo_bounds();
+  return storage_offset_general(i);
+}
+
 dist::Index DistArrayBase::storage_offset_general(
     const dist::IndexVec& i) const {
   if (!dist_) throw NotDistributedError(name_);
@@ -162,9 +191,9 @@ dist::Index DistArrayBase::storage_offset_general(
 }
 
 bool DistArrayBase::halo_readable_general(const dist::IndexVec& i) const {
-  // Reached after the per-dimension box check passed and the affine form
-  // does not apply.  Non-contiguous dimensions carry no overlap, so there
-  // i is readable exactly when this rank owns it.
+  // Reached after the rank and per-dimension box check passed and the
+  // affine form does not apply.  Non-contiguous dimensions carry no
+  // overlap, so there i is readable exactly when this rank owns it.
   if (!dist_ || !layout_.member || layout_.total == 0) return false;
   for (int d = 0; d < dom_.rank(); ++d) {
     if (contig_[static_cast<std::size_t>(d)]) continue;
@@ -182,6 +211,22 @@ DistArrayBase::SplitMargins DistArrayBase::split_margins() {
   const std::shared_ptr<const halo::HaloPlan> plan =
       exchange_in_flight_ ? pending_halo_plan_ : lookup_halo_plan();
   return SplitMargins{plan->interior_lo, plan->interior_hi};
+}
+
+bool DistArrayBase::owned_partition(const SplitMargins* m,
+                                    OwnedPartition& p) const {
+  if (!dist_) throw NotDistributedError(name_);
+  if (!layout_.member || layout_.total == 0) return false;
+  for (int d = 0; d < dom_.rank(); ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    p.owned[ud] = dist_->owned_in_dim(env_->rank(), d);
+    const std::size_t len = p.owned[ud].size();
+    const auto mlo = m ? static_cast<std::size_t>(m->lo[d]) : 0;
+    const auto mhi = m ? static_cast<std::size_t>(m->hi[d]) : 0;
+    p.core_lo[ud] = std::min(mlo, len);
+    p.core_hi[ud] = std::max(p.core_lo[ud], len - std::min(mhi, len));
+  }
+  return true;
 }
 
 void DistArrayBase::check_distribute_legal(const NoTransfer& nt) const {

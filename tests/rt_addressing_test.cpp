@@ -4,15 +4,17 @@
 //
 // Seeded chains of BLOCK, BLOCK(M), S_BLOCK, CYCLIC(k), INDIRECT and
 // collapsed distributions are applied at P in {1, 3, 4}, with and without
-// a TO section, through DISTRIBUTE flips and symmetric and asymmetric
-// set_overlap reshapes.  In every state each rank checks:
+// a TO section, on domains of every supported rank (1 to kMaxRank),
+// through DISTRIBUTE flips and symmetric and asymmetric set_overlap
+// reshapes.  In every state each rank checks:
 //   * storage_offset(i) and halo_offset(i) equal the reference
 //     sum_d (l_d(i) + ghost_lo[d]) * stride[d], where l_d is
 //     dim_map(d).local_of for owned coordinates and the segment-relative
 //     coordinate in the overlap area;
 //   * every index one past an overlap face (and every non-owned index of
-//     a CYCLIC/INDIRECT dimension) throws std::out_of_range naming the
-//     array, and halo_readable agrees with halo() everywhere;
+//     a CYCLIC/INDIRECT dimension, and an owned index with one component
+//     too many or too few) throws std::out_of_range naming the array, and
+//     halo_readable agrees with halo() everywhere;
 //   * for_owned, and for_owned_interior + for_owned_boundary, visit every
 //     owned element exactly once with the reference (i, &element) pairs,
 //     for_owned and the interior box in column-major order.
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -224,6 +227,17 @@ void check_state(SpmdChecker& ck, int rank, Array& a,
       }
     }
   }
+
+  // An owned point with one component too many or too few.
+  const IndexVec& p0 = owned.front();
+  if (r < dist::kMaxRank) {
+    IndexVec longer = p0;
+    longer.push_back(p0[0]);
+    expect_halo_throws(ck, rank, a, longer, where + ": rank + 1");
+  }
+  IndexVec shorter;
+  for (int d = 0; d + 1 < r; ++d) shorter.push_back(p0[d]);
+  expect_halo_throws(ck, rank, a, shorter, where + ": rank - 1");
 }
 
 /// A random per-dimension distribution of extent n over np coordinates.
@@ -251,24 +265,24 @@ dist::DimDist random_dim(std::mt19937& rng, Index n, int np) {
   }
 }
 
-/// One seeded chain on P ranks.  `grid` maps the first two dimensions onto
-/// a 2x2 processor grid (P == 4); otherwise one dimension is distributed
-/// over a line and the others are collapsed.
-void run_chain(int nprocs, bool grid, unsigned seed) {
+/// One seeded chain on P ranks over `dom`.  `grid` maps the first two
+/// dimensions onto a 2x2 processor grid (P == 4, rank >= 2); otherwise one
+/// dimension is distributed over a line and the others are collapsed.
+void run_chain(int nprocs, bool grid, unsigned seed, const IndexDomain& dom) {
   run_checked(nprocs, [&](Context& ctx, SpmdChecker& ck) {
     const int me = ctx.rank();
+    const int r = dom.rank();
     const dist::ProcessorArray procs =
         grid ? dist::ProcessorArray::grid(2, 2)
              : dist::ProcessorArray::line(nprocs);
     Env env(ctx, procs);
-    const IndexDomain dom = IndexDomain::of_extents({9, 7, 3});
     std::mt19937 rng(seed);  // SPMD-uniform: every rank draws the same
 
     // Undistributed: every access function refuses.
     Array a(env, {.name = "Addr" + std::to_string(seed),
                   .domain = dom,
                   .dynamic = true});
-    const IndexVec first{1, 1, 1};
+    const IndexVec first = IndexVec::filled(r, 1);
     expect_throw<NotDistributedError>(
         ck, me, [&] { (void)a.storage_offset(first); }, "storage_offset");
     expect_throw<NotDistributedError>(
@@ -282,7 +296,8 @@ void run_chain(int nprocs, bool grid, unsigned seed) {
 
     for (int step = 0; step < 10; ++step) {
       // Pick the target: distributed dimensions, kinds and the section.
-      std::vector<dist::DimDist> dims(3, dist::col());
+      std::vector<dist::DimDist> dims(static_cast<std::size_t>(r),
+                                      dist::col());
       dist::ProcessorSection sec(procs);
       const bool to = nprocs > 1 && rng() % 2 == 0;
       if (grid) {
@@ -302,7 +317,7 @@ void run_chain(int nprocs, bool grid, unsigned seed) {
           sec = dist::ProcessorSection(
               procs, {dist::SectionDim::all(dist::Range{1, np})});
         }
-        const auto d = static_cast<std::size_t>(rng() % 3);
+        const auto d = static_cast<std::size_t>(rng() % r);
         dims[d] = random_dim(rng, dom.dim(static_cast<int>(d)).size(), np);
       }
       const dist::DistHandle h = env.registry().intern(
@@ -311,11 +326,14 @@ void run_chain(int nprocs, bool grid, unsigned seed) {
       // Overlap areas must be dropped before a dimension carrying one
       // becomes non-contiguous.
       bool keep = a.has_distribution();
-      for (int d = 0; d < 3 && keep; ++d) {
+      for (int d = 0; d < r && keep; ++d) {
         keep = h->dim_map(d).contiguous() ||
                (a.halo_spec()->lo(d) == 0 && a.halo_spec()->hi(d) == 0);
       }
-      if (!keep) a.set_overlap({0, 0, 0}, {0, 0, 0}, false, false);
+      if (!keep) {
+        a.set_overlap(IndexVec::filled(r, 0), IndexVec::filled(r, 0), false,
+                      false);
+      }
       if (!a.has_distribution()) {
         a.distribute(h);
         a.init(value_of);
@@ -329,9 +347,9 @@ void run_chain(int nprocs, bool grid, unsigned seed) {
       // Reshape the overlap: symmetric, or a per-rank asymmetric spec.
       const bool asym = rng() % 2 == 0;
       const unsigned base = rng();
-      IndexVec lo = IndexVec::filled(3, 0);
-      IndexVec hi = IndexVec::filled(3, 0);
-      for (int d = 0; d < 3; ++d) {
+      IndexVec lo = IndexVec::filled(r, 0);
+      IndexVec hi = IndexVec::filled(r, 0);
+      for (int d = 0; d < r; ++d) {
         if (!h->dim_map(d).contiguous()) continue;
         const unsigned salt = asym ? static_cast<unsigned>(me) : 0u;
         lo[d] = static_cast<Index>((base >> (2 * d)) + salt) % 3;
@@ -343,21 +361,27 @@ void run_chain(int nprocs, bool grid, unsigned seed) {
   });
 }
 
-TEST(Addressing, SeededChainsP1) {
-  for (unsigned seed = 1; seed <= 6; ++seed) run_chain(1, false, seed);
+/// Runs the chains of seeds [first, last] on one domain per supported rank
+/// (rank >= 2 only for the grid, which distributes two dimensions).
+void run_chains(int nprocs, bool grid, unsigned first, unsigned last) {
+  for (const IndexDomain& dom :
+       {IndexDomain::of_extents({11}), IndexDomain::of_extents({9, 7}),
+        IndexDomain::of_extents({9, 7, 3}),
+        IndexDomain::of_extents({5, 4, 3, 2})}) {
+    if (grid && dom.rank() < 2) continue;
+    for (unsigned seed = first; seed <= last; ++seed) {
+      run_chain(nprocs, grid, seed, dom);
+    }
+  }
 }
 
-TEST(Addressing, SeededChainsP3) {
-  for (unsigned seed = 11; seed <= 16; ++seed) run_chain(3, false, seed);
-}
+TEST(Addressing, SeededChainsP1) { run_chains(1, false, 1, 6); }
 
-TEST(Addressing, SeededChainsP4Line) {
-  for (unsigned seed = 21; seed <= 26; ++seed) run_chain(4, false, seed);
-}
+TEST(Addressing, SeededChainsP3) { run_chains(3, false, 11, 16); }
 
-TEST(Addressing, SeededChainsP4Grid) {
-  for (unsigned seed = 31; seed <= 36; ++seed) run_chain(4, true, seed);
-}
+TEST(Addressing, SeededChainsP4Line) { run_chains(4, false, 21, 26); }
+
+TEST(Addressing, SeededChainsP4Grid) { run_chains(4, true, 31, 36); }
 
 // Regression: a rank outside the TO section used to pass the halo bounds
 // check (its layout has no counts and a zero segment base), so halo()
@@ -383,6 +407,44 @@ TEST(Addressing, NonMemberHaloThrows) {
     }
     for (Index g = -2; g <= 18; ++g) {
       expect_halo_throws(ck, ctx.rank(), a, IndexVec{g}, "non-member");
+    }
+  });
+}
+
+// Regression: halo() used to accept an index whose size differs from the
+// array's rank -- a longer one was read through its first components, a
+// shorter one read its missing components as 0 (inside the low ghost).
+// Now every access path rejects it, affine or general.
+TEST(Addressing, WrongRankHaloThrows) {
+  run_checked(1, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx, dist::ProcessorArray::grid(1, 1));
+    // 8x8 with overlap 1 in every contiguous dimension: (BLOCK, BLOCK)
+    // takes the affine path, (CYCLIC(2), BLOCK) the general one.
+    const auto make = [&](const std::string& name, dist::DimDist d0,
+                          Index w0) {
+      return Array(env, {.name = name,
+                         .domain = IndexDomain::of_extents({8, 8}),
+                         .initial = dist::DistributionType{std::move(d0),
+                                                           dist::block()},
+                         .overlap_lo = {w0, 1},
+                         .overlap_hi = {w0, 1}});
+    };
+    for (auto [name, d0, w0] :
+         {std::tuple{"Affine", dist::block(), Index{1}},
+          std::tuple{"General", dist::cyclic(2), Index{0}}}) {
+      Array a = make(name, d0, w0);
+      a.init(value_of);
+      ck.check(a.halo_readable({3, 4}), 0, a.name() + ": (3,4) readable");
+      ck.check_eq(a.halo({3, 4}), value_of({3, 4}), 0,
+                  a.name() + ": halo (3,4)");
+      for (const IndexVec& i :
+           {IndexVec{3, 4, 7}, IndexVec{3}, IndexVec{},
+            IndexVec{1, 1, 1, 1}}) {
+        expect_halo_throws(ck, 0, a, i, a.name() + " rank 2");
+        expect_throw<std::out_of_range>(
+            ck, 0, [&] { (void)a.halo_offset(i); },
+            a.name() + ": halo_offset " + i.to_string());
+      }
     }
   });
 }
