@@ -200,6 +200,8 @@ void BM_RedistributeFlip(benchmark::State& state) {
   std::atomic<std::uint64_t> reg_hits{0};
   std::atomic<std::uint64_t> reg_misses{0};
   std::atomic<std::uint64_t> reg_size{0};
+  std::atomic<std::uint64_t> plan_hits{0};
+  std::atomic<std::uint64_t> plan_misses{0};
   for (auto _ : state) {
     msg::Machine machine(nprocs);
     std::atomic<double> secs{0.0};
@@ -262,6 +264,8 @@ void BM_RedistributeFlip(benchmark::State& state) {
         reg_hits.store(env.registry().stats().hits);
         reg_misses.store(env.registry().stats().misses);
         reg_size.store(env.registry().size());
+        plan_hits.store(a.redist_plan_hits());
+        plan_misses.store(a.redist_plan_misses());
       }
     });
     total_seconds += secs.load();
@@ -283,6 +287,12 @@ void BM_RedistributeFlip(benchmark::State& state) {
           : static_cast<double>(reg_hits.load()) /
                 static_cast<double>(reg_hits.load() + reg_misses.load());
   state.counters["registry_interned"] = static_cast<double>(reg_size.load());
+  // Plan-cache traffic on rank 0 of the last run: a cached loop misses
+  // only on the warmup round trip's two cold builds and hits on every
+  // timed flip.
+  state.counters["redist_plan_hits"] = static_cast<double>(plan_hits.load());
+  state.counters["redist_plan_misses"] =
+      static_cast<double>(plan_misses.load());
   state.counters["data_msgs_per_flip"] =
       static_cast<double>(stats.data_messages) / kFlips;
   state.counters["data_bytes_per_flip"] =

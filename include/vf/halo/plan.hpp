@@ -30,12 +30,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "vf/core/cache_budget.hpp"
+#include "vf/core/lru_cache.hpp"
 #include "vf/dist/distribution.hpp"
 #include "vf/dist/registry.hpp"
 #include "vf/halo/spec.hpp"
@@ -138,21 +136,16 @@ struct HaloFill {
                                      const HaloSpec& spec, int me);
 
 /// Per-Env cache of HaloPlans keyed on the (DistHandle uid, HaloSpec uid)
-/// pair.  Identity-keyed: a hit is one integer hash lookup with no
-/// structural comparison or index-list rebuild.  Uninterned handles
-/// (uid 0) are uncacheable and rebuild every time -- the benchmark cold
-/// path.
+/// pair.  Identity-keyed: a hit is one integer compare per resident entry
+/// with no structural comparison or index-list rebuild.  Uninterned
+/// handles (uid 0) are uncacheable and rebuild every time -- the
+/// benchmark cold path.
 ///
-/// Bounded: true-LRU within a byte budget (default 16 MiB) plus a
-/// kCapacity entry-count backstop.  A hit moves the entry to the front
-/// of the recency list; an insert evicts from the back until both limits
-/// hold.  An evicted plan rebuilds transparently on next use.
+/// Bounded by a core::LruCache of kCapacity entries within a byte budget
+/// (default 16 MiB).  An evicted plan rebuilds transparently on next use.
 class HaloPlanCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
+  using Stats = core::CacheStats;
 
   /// Returns the cached plan for (d, h), building and caching it on a
   /// miss.
@@ -168,35 +161,23 @@ class HaloPlanCache {
   [[nodiscard]] std::shared_ptr<const HaloPlan> lookup_or_build(
       const dist::DistHandle& d, const FamilyHandle& f, int me, int np);
 
-  /// Disabling also drops cached plans (benchmarks measuring the cold
-  /// plan-construction + exchange path).
-  void set_enabled(bool on) {
-    enabled_ = on;
-    if (!on) clear();
-  }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
+  /// Disabling also drops cached plans and the counters (benchmarks
+  /// measuring the cold plan-construction + exchange path).
+  void set_enabled(bool on) { cache_.set_enabled(on); }
 
   /// Drops every entry AND the hit/miss counters: stats describe the
   /// cache's contents, and a reader comparing ratios across a clear (or
   /// a set_enabled(false) cold path) must not see pre-clear traffic.
-  void clear() {
-    map_.clear();
-    lru_.clear();
-    budget_.reset();
-    stats_ = Stats{};
-  }
+  void clear() { cache_.clear(); }
 
   /// Byte ceiling (default 16 MiB); shrinking below residency evicts
   /// immediately from the cold end.
-  void set_max_bytes(std::size_t b);
-  [[nodiscard]] std::size_t max_bytes() const noexcept {
-    return budget_.max_bytes();
-  }
+  void set_max_bytes(std::size_t b) { cache_.set_max_bytes(b); }
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
-    return budget_.resident_bytes();
+    return cache_.resident_bytes();
   }
   [[nodiscard]] std::uint64_t evictions() const noexcept {
-    return budget_.evictions();
+    return cache_.evictions();
   }
 
   /// Env::sweep() hook: drops entries whose distribution uid is not in
@@ -205,9 +186,8 @@ class HaloPlanCache {
   /// counted as evictions; returns the number dropped.
   std::size_t sweep(const std::vector<std::uint32_t>& live_dist_uids);
 
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = Stats{}; }
+  [[nodiscard]] std::size_t size() const noexcept { return cache_.size(); }
+  [[nodiscard]] const Stats& stats() const noexcept { return cache_.stats(); }
 
  private:
   struct Entry {
@@ -218,8 +198,6 @@ class HaloPlanCache {
     HaloHandle halo;
     FamilyHandle family;
     std::shared_ptr<const HaloPlan> plan;
-    std::size_t bytes = 0;
-    std::list<std::uint64_t>::iterator lru;  ///< position in lru_
   };
 
   // Spec and family uids live in separate registry keyspaces, so the key
@@ -237,19 +215,10 @@ class HaloPlanCache {
            (static_cast<std::uint64_t>(f.uid()) << 1) | 1u;
   }
 
-  [[nodiscard]] std::shared_ptr<const HaloPlan> insert(std::uint64_t key,
-                                                       Entry e);
-  void drop(std::uint64_t key, bool pressure);
-  void evict_lru() { drop(lru_.back(), /*pressure=*/true); }
-
   static constexpr std::size_t kCapacity = 16;
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{16} << 20;
 
-  bool enabled_ = true;
-  Stats stats_;
-  core::CacheBudget budget_{kDefaultMaxBytes};
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  ///< most recently used first
+  core::LruCache<std::uint64_t, Entry> cache_{kCapacity, kDefaultMaxBytes};
 };
 
 }  // namespace vf::halo

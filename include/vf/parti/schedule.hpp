@@ -12,12 +12,12 @@
 // Executor hot loops are branch-free walks over flat std::size_t storage
 // offsets: the first executor call against an array translates the served
 // and locally-satisfied index points into local storage offsets once (and
-// re-translates only if the array or its distribution changes), so
-// repeated executor calls perform no per-element IndexVec arithmetic, no
-// at() ownership checks, and -- because both sides' counts were agreed at
-// inspector time -- no count-exchange collective.  Serve/combine and
-// receive buffers are persistent per-schedule exchange scratch
-// (msg::ExchangeScratch, one lane per element size) moved through
+// re-translates only if the array, its distribution or its overlap
+// changes), so repeated executor calls perform no per-element IndexVec
+// arithmetic, no at() ownership checks, and -- because both sides' counts
+// were agreed at inspector time -- no count-exchange collective.
+// Serve/combine and receive buffers are persistent per-schedule exchange
+// scratch (msg::ExchangeScratch, one lane per element size) moved through
 // Context::alltoallv_known_into, so a warmed-up executor replay performs
 // no heap allocation at all.  This is what makes the inspector cost
 // amortizable (bench E7) in codes like the PIC example of Section 4.
@@ -27,7 +27,7 @@
 #include <span>
 #include <vector>
 
-#include "vf/core/cache_budget.hpp"
+#include "vf/core/lru_cache.hpp"
 #include "vf/dist/distribution.hpp"
 #include "vf/dist/registry.hpp"
 #include "vf/halo/spec.hpp"
@@ -320,13 +320,14 @@ class Schedule {
     }
   }
 
-  // Flat storage offsets bound to one array instance + distribution.
-  // Keyed by the array's process-unique serial (never recycled, unlike a
-  // heap address) plus its descriptor handle, so neither a recycled
-  // address nor a shared interned descriptor can alias a stale binding.
+  // Flat storage offsets bound to one array instance.  Cached under the
+  // array's process-unique serial (never recycled, unlike a heap
+  // address); the descriptor and overlap handles the offsets were
+  // translated under travel with them, since a DISTRIBUTE or a
+  // set_overlap reshape moves every offset of the same array.
   struct Binding {
-    std::uint64_t array_serial = 0;
     dist::DistHandle dist;
+    halo::HaloHandle halo;
     std::vector<std::size_t> serve_off;  ///< parallel to serve_linear_
     std::vector<std::size_t> local_off;  ///< parallel to local_linear_
     std::vector<std::size_t> halo_off;   ///< parallel to halo_linear_
@@ -342,22 +343,21 @@ class Schedule {
   /// Executor-side binding cache hits/misses (a miss translates all
   /// served and local points of one array into flat storage offsets).
   [[nodiscard]] std::uint64_t binding_hits() const noexcept {
-    return binding_hits_;
+    return bindings_.stats().hits;
   }
   [[nodiscard]] std::uint64_t binding_misses() const noexcept {
-    return binding_misses_;
+    return bindings_.stats().misses;
   }
   /// Bindings dropped under capacity or byte pressure (an evicted binding
   /// re-translates transparently on next use).
   [[nodiscard]] std::uint64_t binding_evictions() const noexcept {
-    return binding_budget_.evictions();
-  }
-  [[nodiscard]] std::size_t binding_resident_bytes() const noexcept {
-    return binding_budget_.resident_bytes();
+    return bindings_.evictions();
   }
   /// Byte ceiling of the binding cache (default 8 MiB); shrinking evicts
   /// cold bindings immediately (the MRU binding always survives).
-  void set_binding_budget(std::size_t max_bytes);
+  void set_binding_budget(std::size_t max_bytes) {
+    bindings_.set_max_bytes(max_bytes);
+  }
   /// Executor exchange-scratch counters (prepares == executor calls that
   /// exchanged data; grow_allocs == heap allocations the scratch arena
   /// performed).  A warmed-up replay loop holds grow_allocs flat -- the
@@ -372,9 +372,8 @@ class Schedule {
   /// Translates the served and local index points into flat storage
   /// offsets of `a`, through the multi-array binding cache: one schedule
   /// can serve gathers/scatters against several arrays (keyed by array
-  /// identity + descriptor handle) without re-translating on every
-  /// alternation.  Schedules are per-rank objects, so no synchronization
-  /// is needed.
+  /// serial) without re-translating on every alternation.  Schedules are
+  /// per-rank objects, so no synchronization is needed.
   const Binding& bind(const rt::DistArrayBase& a) const;
 
   /// Shared inspector body of every constructor.
@@ -470,15 +469,13 @@ class Schedule {
                sizeof(std::size_t);
   }
 
-  // Multi-array binding cache (most recently used first), bounded by
+  // Multi-array binding cache keyed on the array serial, bounded by
   // kBindingCapacity entries within a byte budget.
   static constexpr std::size_t kBindingCapacity = 8;
   static constexpr std::size_t kDefaultBindingBudgetBytes = std::size_t{8}
                                                             << 20;
-  mutable std::vector<Binding> bindings_;
-  mutable core::CacheBudget binding_budget_{kDefaultBindingBudgetBytes};
-  mutable std::uint64_t binding_hits_ = 0;
-  mutable std::uint64_t binding_misses_ = 0;
+  mutable core::LruCache<std::uint64_t, Binding> bindings_{
+      kBindingCapacity, kDefaultBindingBudgetBytes};
 
   // Persistent executor exchange scratch: per-element-size send/combine
   // and receive buffers shared by gather, scatter and scatter_add.

@@ -16,12 +16,14 @@
 #include <variant>
 #include <vector>
 
+#include "vf/core/lru_cache.hpp"
 #include "vf/dist/alignment.hpp"
 #include "vf/dist/distribution.hpp"
 #include "vf/msg/exchange_scratch.hpp"
 #include "vf/query/pattern.hpp"
 #include "vf/rt/connect.hpp"
 #include "vf/rt/env.hpp"
+#include "vf/rt/redist_plan.hpp"
 
 namespace vf::rt {
 
@@ -284,13 +286,51 @@ class DistArrayBase {
 
   /// Env::sweep() hook, called on every registered array before the
   /// registry sweep: drops derived per-array cache state that pins
-  /// retired descriptors without contributing to future hits.  The base
-  /// drops the uid-keyed skew memo (its hybrid handles pin hybrid
-  /// descriptors; re-deriving one costs a single histogram pass);
-  /// DistArray<T> additionally prunes its redistribution plan cache.
+  /// retired descriptors without contributing to future hits -- the
+  /// uid-keyed skew memo (its hybrid handles pin hybrid descriptors;
+  /// re-deriving one costs a single histogram pass) and every cached
+  /// redistribution plan not involving the CURRENT descriptor.  Such a
+  /// plan could only replay if the array returned to a retired
+  /// distribution -- impossible after the sweep retires its uid for good.
   /// Never touches the array's own handle chain -- the live
   /// dist/halo/family handles are exactly what pins their interns.
-  virtual void sweep_caches() { hybrid_memo_.clear(); }
+  void sweep_caches();
+
+  // ---- redistribution plan cache ------------------------------------------
+  //
+  // DISTRIBUTE plans are cached per array, keyed on the (old, new)
+  // handle-identity pair; plans are element offsets, so the cache is
+  // independent of the element type.
+
+  /// Enables/disables the plan cache; disabling also drops cached plans
+  /// AND the hit/miss counters -- stats describe the cache's contents,
+  /// and a cold-path benchmark toggling the cache off must not read
+  /// pre-toggle traffic.  Mainly for benchmarks measuring the cold
+  /// inspector path.
+  void set_redist_plan_cache(bool enabled) {
+    redist_plans_.set_enabled(enabled);
+  }
+  [[nodiscard]] std::uint64_t redist_plan_hits() const noexcept {
+    return redist_plans_.stats().hits;
+  }
+  [[nodiscard]] std::uint64_t redist_plan_misses() const noexcept {
+    return redist_plans_.stats().misses;
+  }
+  [[nodiscard]] std::uint64_t redist_plan_evictions() const noexcept {
+    return redist_plans_.evictions();
+  }
+  [[nodiscard]] std::size_t redist_plan_resident_bytes() const noexcept {
+    return redist_plans_.resident_bytes();
+  }
+  [[nodiscard]] std::size_t redist_plan_count() const noexcept {
+    return redist_plans_.size();
+  }
+  /// Byte ceiling of the plan cache (default 64 MiB -- generous because
+  /// skewed fragmented plans are large and exactly the ones whose replay
+  /// the skew path depends on); shrinking evicts immediately.
+  void set_redist_plan_budget(std::size_t max_bytes) {
+    redist_plans_.set_max_bytes(max_bytes);
+  }
 
   /// The per-side interior margins of this rank under the array's halo
   /// plan: owned elements at least this far from every face are safe to
@@ -440,16 +480,21 @@ class DistArrayBase {
   /// happens to equal the current BLOCK); data stays in place.
   virtual void adopt_descriptor(dist::DistHandle nd) = 0;
 
-  /// Whether a redistribution plan for the (old, new) handle pair is
-  /// already cached (an identity-keyed peek; never touches hit/miss
-  /// counters).  The DISTRIBUTE engine uses it to skip the O(N) mapping
-  /// comparison on flips whose motion is already planned.
-  [[nodiscard]] virtual bool has_cached_plan(
-      const dist::DistHandle& od, const dist::DistHandle& nd) const {
-    (void)od;
-    (void)nd;
-    return false;
+  /// The (old, new) handle-identity key of the plan cache.  Interning
+  /// makes identity equivalent to structural equality, so a hit needs no
+  /// fingerprint comparison and no structural re-verification.
+  [[nodiscard]] static std::uint64_t plan_key(
+      const dist::DistHandle& od, const dist::DistHandle& nd) noexcept {
+    return (static_cast<std::uint64_t>(od.uid()) << 32) | nd.uid();
   }
+
+  /// The plan moving this array's storage from its current distribution
+  /// to `nd`: a cache hit refreshes the entry's recency; a miss builds it
+  /// and caches it.  Handles that never went through a registry (uid 0)
+  /// are uncacheable and always rebuild -- exactly the benchmark cold
+  /// path.
+  [[nodiscard]] std::shared_ptr<const RedistPlan> redist_plan_for(
+      const dist::DistHandle& nd);
 
   /// Called by subclasses and the DISTRIBUTE engine after storage has been
   /// swapped.
@@ -617,6 +662,19 @@ class DistArrayBase {
   std::uint64_t skew_checks_ = 0;
   double last_target_skew_ = 1.0;
   double peak_target_skew_ = 1.0;
+
+  // Redistribution plan cache.  The handles pin the interned
+  // distributions (and therefore the uid pair the key was built from)
+  // for the lifetime of the entry.
+  struct PlanEntry {
+    dist::DistHandle od;
+    dist::DistHandle nd;
+    std::shared_ptr<const RedistPlan> plan;
+  };
+  static constexpr std::size_t kPlanCacheCapacity = 8;
+  static constexpr std::size_t kDefaultPlanBudgetBytes = std::size_t{64} << 20;
+  core::LruCache<std::uint64_t, PlanEntry> redist_plans_{
+      kPlanCacheCapacity, kDefaultPlanBudgetBytes};
 
   // Storage geometry under the current distribution.
   dist::IndexVec ghost_lo_;

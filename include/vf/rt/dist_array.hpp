@@ -32,9 +32,7 @@
 #include <limits>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 
-#include "vf/core/cache_budget.hpp"
 #include "vf/msg/context.hpp"
 #include "vf/rt/array_base.hpp"
 #include "vf/rt/redist_plan.hpp"
@@ -310,8 +308,15 @@ class DistArray final : public DistArrayBase {
   /// every rank: a lone failing rank trips the machine's abort fence and
   /// peers blocked in the spec exchange or the halo exchange wake with a
   /// RankAbort instead of hanging.
-  void set_overlap(const dist::IndexVec& lo, const dist::IndexVec& hi,
-                   bool corners = false, bool asymmetric = true) {
+  ///
+  /// Never inlined: a re-declaration interns a spec and reshapes storage,
+  /// so a call costs far more than the jump, while inlining it into a step
+  /// function that also runs the update loop costs that loop registers
+  /// (GCC then keeps a frame pointer; the amr_churn kernel ran slower).
+  [[gnu::noinline]] void set_overlap(const dist::IndexVec& lo,
+                                     const dist::IndexVec& hi,
+                                     bool corners = false,
+                                     bool asymmetric = true) {
     check_no_exchange_in_flight("set_overlap");
     const dist::IndexVec nlo = normalize_ghost(lo);
     const dist::IndexVec nhi = normalize_ghost(hi);
@@ -329,78 +334,6 @@ class DistArray final : public DistArrayBase {
       return;
     }
     reshape_ghost_storage(nlo, nhi, std::move(nh));
-  }
-
-  // ---- redistribution plan cache ------------------------------------------
-
-  /// Enables/disables the (old, new) distribution plan cache; disabling
-  /// also drops cached plans AND the hit/miss counters -- stats describe
-  /// the cache's contents, and a cold-path benchmark toggling the cache
-  /// off must not read pre-toggle traffic.  Mainly for benchmarks
-  /// measuring the cold inspector path.
-  void set_redist_plan_cache(bool enabled) {
-    plan_cache_enabled_ = enabled;
-    if (!enabled) {
-      plan_cache_.clear();
-      plan_order_.clear();
-      plan_budget_.reset();
-      plan_hits_ = 0;
-      plan_misses_ = 0;
-    }
-  }
-  [[nodiscard]] std::uint64_t redist_plan_hits() const noexcept {
-    return plan_hits_;
-  }
-  [[nodiscard]] std::uint64_t redist_plan_misses() const noexcept {
-    return plan_misses_;
-  }
-  [[nodiscard]] std::uint64_t redist_plan_evictions() const noexcept {
-    return plan_budget_.evictions();
-  }
-  [[nodiscard]] std::size_t redist_plan_resident_bytes() const noexcept {
-    return plan_budget_.resident_bytes();
-  }
-  [[nodiscard]] std::size_t redist_plan_count() const noexcept {
-    return plan_cache_.size();
-  }
-  /// Byte ceiling of the plan cache (default 64 MiB -- generous because
-  /// skewed fragmented plans are large and exactly the ones whose replay
-  /// the skew path depends on); shrinking evicts immediately.
-  void set_redist_plan_budget(std::size_t max_bytes) {
-    plan_budget_.set_max_bytes(max_bytes);
-    while (!plan_order_.empty() && plan_budget_.over()) evict_plan();
-  }
-
-  /// Env::sweep() hook: drops the skew memo (base) plus every cached plan
-  /// not involving the CURRENT descriptor.  Such a plan could only replay
-  /// if the array returned to a retired distribution -- impossible after
-  /// the sweep retires its uid for good -- so keeping it would pin dead
-  /// interns forever.  Plans touching the live descriptor stay warm.
-  void sweep_caches() override {
-    DistArrayBase::sweep_caches();
-    for (auto it = plan_order_.begin(); it != plan_order_.end();) {
-      const PlanEntry& e = plan_cache_.find(*it)->second;
-      if (e.od == dist_ || e.nd == dist_) {
-        ++it;
-        continue;
-      }
-      it = drop_plan(it, /*pressure=*/false);
-    }
-  }
-
-  /// Per-link max/mean at or above which a fragmented plan counts as a
-  /// skewed-workload plan and keeps full cache priority.
-  static constexpr double kPlanSkewThreshold = 4.0;
-
-  /// Whether a plan takes the fragmented-plan bypass lane.  Being
-  /// per-element fragmented alone is not enough: a fragmented plan whose
-  /// per-link totals are skewed is a skewed-workload plan (the PRPD hybrid
-  /// flips land here -- indirect owner tables fragment runs by nature),
-  /// and those are exactly the plans whose replay the skew path depends
-  /// on.  Only fragmented AND link-balanced plans are second-class.
-  [[nodiscard]] static bool bypass_eligible(const RedistPlan& plan) noexcept {
-    return plan.per_element_fragmented() &&
-           plan.link_skew() < kPlanSkewThreshold;
   }
 
  private:
@@ -480,9 +413,8 @@ class DistArray final : public DistArrayBase {
     // new widths make every cached offset stale: replaying one would
     // read/write outside the reshaped allocation.  Invalidation, not
     // eviction -- the budget is credited, the counter untouched.
-    for (auto it = plan_order_.begin(); it != plan_order_.end();) {
-      it = drop_plan(it, /*pressure=*/false);
-    }
+    redist_plans_.erase_if(
+        [](std::uint64_t, const PlanEntry&) { return true; });
     const dist::IndexVec old_lo = ghost_lo_;
     const dist::IndexVec old_strides = alloc_strides_;
     const std::vector<T> old_local = std::move(local_);
@@ -545,126 +477,6 @@ class DistArray final : public DistArrayBase {
   }
 
   // ---- DISTRIBUTE data motion (Section 3.2.2) -----------------------------
-  //
-  // Plans are cached in a flat map keyed on the (old, new) handle-identity
-  // pair.  Interning makes handle identity equivalent to structural
-  // equality, so a hit needs no fingerprint comparison and no structural
-  // re-verification -- one integer hash lookup.
-
-  [[nodiscard]] static std::uint64_t plan_key(
-      const dist::DistHandle& od, const dist::DistHandle& nd) noexcept {
-    return (static_cast<std::uint64_t>(od.uid()) << 32) | nd.uid();
-  }
-
-  [[nodiscard]] bool has_cached_plan(
-      const dist::DistHandle& od,
-      const dist::DistHandle& nd) const override {
-    return plan_cache_enabled_ && od.interned() && nd.interned() &&
-           plan_cache_.contains(plan_key(od, nd));
-  }
-
-  /// Looks up a cached plan for the (old, new) handle pair.  Handles that
-  /// never went through a registry (uid 0) are uncacheable and always
-  /// rebuild -- exactly the benchmark cold path.  A hit refreshes the
-  /// entry's recency (true LRU, not insertion order).
-  [[nodiscard]] std::shared_ptr<const RedistPlan> lookup_plan(
-      const dist::DistHandle& od, const dist::DistHandle& nd) {
-    if (!plan_cache_enabled_ || !od.interned() || !nd.interned()) {
-      return nullptr;
-    }
-    const std::uint64_t key = plan_key(od, nd);
-    const auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      ++plan_hits_;
-      const auto o = std::find(plan_order_.begin(), plan_order_.end(), key);
-      std::rotate(o, o + 1, plan_order_.end());  // touch: move to MRU end
-      return it->second.plan;
-    }
-    ++plan_misses_;
-    return nullptr;
-  }
-
-  /// Removes one cached plan; `pressure` distinguishes budget evictions
-  /// (counted) from invalidation drops (not).  Returns the recency-list
-  /// iterator following the removed entry.
-  std::vector<std::uint64_t>::iterator drop_plan(
-      std::vector<std::uint64_t>::iterator o, bool pressure) {
-    const auto f = plan_cache_.find(*o);
-    if (pressure) {
-      plan_budget_.evict(f->second.bytes);
-    } else {
-      plan_budget_.remove(f->second.bytes);
-    }
-    plan_cache_.erase(f);
-    return plan_order_.erase(o);
-  }
-
-  /// Evicts the least-recently-used bypass-eligible (fragmented,
-  /// link-balanced) cached plan, falling back to the overall LRU when
-  /// none qualifies.  plan_order_ is recency-ordered, LRU first.
-  void evict_plan() {
-    for (auto it = plan_order_.begin(); it != plan_order_.end(); ++it) {
-      if (bypass_eligible(*plan_cache_.find(*it)->second.plan)) {
-        drop_plan(it, /*pressure=*/true);
-        return;
-      }
-    }
-    if (!plan_order_.empty()) {
-      drop_plan(plan_order_.begin(), /*pressure=*/true);
-    }
-  }
-
-  void store_plan(dist::DistHandle od, dist::DistHandle nd,
-                  std::shared_ptr<const RedistPlan> plan) {
-    if (!plan_cache_enabled_ || !od.interned() || !nd.interned()) return;
-    const std::size_t bytes = sizeof(PlanEntry) + plan->footprint_bytes();
-    // A plan larger than the whole ceiling can never fit: leave it
-    // uncached (it rebuilds next flip) rather than emptying the cache.
-    if (bytes > plan_budget_.max_bytes()) return;
-    // Cache-bypass heuristic for per-element-fragmented plans (ROADMAP):
-    // their replay advantage is the smallest and their run lists are the
-    // largest (O(N) Run entries), so they get a small budget of their own
-    // and never evict a compact plan -- when the cache is full of compact
-    // plans, the fragmented plan is simply not cached.  Fragmented plans
-    // with skewed per-link traffic are exempt (see bypass_eligible).
-    const bool bypass = bypass_eligible(*plan);
-    if (bypass) {
-      std::size_t fragmented = 0;
-      for (const auto& [k, e] : plan_cache_) {
-        fragmented += bypass_eligible(*e.plan) ? 1u : 0u;
-      }
-      if (fragmented >= kFragmentedPlanCapacity) {
-        evict_plan();  // a fragmented entry exists; it is evicted
-      } else if (plan_cache_.size() >= kPlanCacheCapacity) {
-        if (fragmented == 0) return;  // bypass: keep the compact plans
-        evict_plan();
-      }
-    } else if (plan_cache_.size() >= kPlanCacheCapacity) {
-      // Compact insert into a full cache: prefer evicting the oldest
-      // fragmented plan, falling back to the overall oldest.
-      evict_plan();
-    }
-    // Byte ceiling on top of the count caps, same second-class rule: a
-    // bypass-eligible plan never pushes a compact one out to make room.
-    while (plan_budget_.would_exceed(bytes) && !plan_order_.empty()) {
-      if (bypass &&
-          !bypass_eligible(
-              *plan_cache_.find(plan_order_.front())->second.plan)) {
-        bool any_fragmented = false;
-        for (const auto& [k, e] : plan_cache_) {
-          any_fragmented |= bypass_eligible(*e.plan);
-        }
-        if (!any_fragmented) return;  // bypass: keep the compact plans
-      }
-      evict_plan();
-    }
-    const std::uint64_t key = plan_key(od, nd);
-    plan_order_.push_back(key);
-    plan_budget_.add(bytes);
-    PlanEntry e{std::move(od), std::move(nd), std::move(plan)};
-    e.bytes = bytes;
-    plan_cache_.insert_or_assign(key, std::move(e));
-  }
 
   /// The data-motion core of DISTRIBUTE: both sides enumerate their
   /// (old/new) owned sets in global column-major order; the
@@ -677,18 +489,11 @@ class DistArray final : public DistArrayBase {
   /// storage capacity settled) performs no heap allocation.
   void redistribute_data(dist::DistHandle ndp) {
     auto& ctx = env_->comm();
-    const int np = ctx.nprocs();
-    const int me = env_->rank();
     // Keep the old distribution alive through the unpack phase (the
     // descriptor swap below releases this array's reference to it).
     const dist::DistHandle odp = dist_;
 
-    std::shared_ptr<const RedistPlan> plan = lookup_plan(odp, ndp);
-    if (!plan) {
-      plan = std::make_shared<const RedistPlan>(
-          RedistPlan::build(*odp, *ndp, me, np, ghost_lo_, ghost_hi_));
-      store_plan(odp, ndp, plan);
-    }
+    const std::shared_ptr<const RedistPlan> plan = redist_plan_for(ndp);
 
     // ---- pack: one memcpy per run into exactly-sized scratch buffers ----
     msg::ExchangeLane& lane = exch_scratch_.lane(sizeof(T));
@@ -702,10 +507,12 @@ class DistArray final : public DistArrayBase {
       cur[peer] += run.length;
     }
 
-    // Tag the exchange with the (old, new) distribution identity: a
+    // Tag the exchange with the (old, new) distribution pair: a
     // lockstep-armed run reports WHICH flip diverged, not just that one
-    // did.
-    ctx.lockstep_note(plan_key(odp, ndp));
+    // did.  Structural fingerprints, not registry uids: which interns a
+    // sweep reclaims depends on each rank's cache contents, so the uid of
+    // a re-interned descriptor may differ from rank to rank.
+    ctx.lockstep_note(msg::mix64(odp->fingerprint()) ^ ndp->fingerprint());
     ctx.alltoallv_known_into(lane);
 
     // ---- install the new distribution and unpack ------------------------
@@ -798,25 +605,7 @@ class DistArray final : public DistArrayBase {
     return T{};
   }
 
-  struct PlanEntry {
-    // The handles pin the interned distributions (and therefore the uid
-    // pair the key was built from) for the lifetime of the entry.
-    dist::DistHandle od;
-    dist::DistHandle nd;
-    std::shared_ptr<const RedistPlan> plan;
-    std::size_t bytes = 0;
-  };
-  static constexpr std::size_t kPlanCacheCapacity = 8;
-  static constexpr std::size_t kFragmentedPlanCapacity = 2;
-  static constexpr std::size_t kDefaultPlanBudgetBytes = std::size_t{64} << 20;
-
   std::vector<T> local_;
-  std::unordered_map<std::uint64_t, PlanEntry> plan_cache_;
-  std::vector<std::uint64_t> plan_order_;  ///< recency order, LRU first
-  core::CacheBudget plan_budget_{kDefaultPlanBudgetBytes};
-  bool plan_cache_enabled_ = true;
-  std::uint64_t plan_hits_ = 0;
-  std::uint64_t plan_misses_ = 0;
 };
 
 template <typename T>
@@ -854,11 +643,11 @@ void DistArray<T>::begin_exchange_overlap() {
   // Tag the exchange with the (array, distribution) identity so a
   // lockstep-armed run names which array's ghost exchange diverged.  The
   // note must be SPMD-uniform, so it folds the array NAME, not the halo
-  // spec uid: asymmetric declarations give every rank a legitimately
-  // different local spec.
+  // spec uid (asymmetric declarations give every rank a legitimately
+  // different local spec), and the descriptor's fingerprint, not its uid
+  // (see redistribute_data).
   std::uint64_t note =
-      msg::mix64(static_cast<std::uint64_t>(dist_handle().uid()) ^
-                 0x9e3779b97f4a7c15ULL);
+      msg::mix64(distribution().fingerprint() ^ 0x9e3779b97f4a7c15ULL);
   for (const char c : name_) {
     note = msg::mix64(note ^ static_cast<unsigned char>(c));
   }

@@ -52,47 +52,6 @@ struct RedistPlan {
   /// Exact elements received from each rank (index = source rank).
   std::vector<std::uint64_t> recv_counts;
 
-  /// Whether this plan degenerates to (near) per-element runs: the run
-  /// lists are large and the average run moves fewer than two elements,
-  /// so replaying buys the least over rebuilding while the cached Run
-  /// lists cost the most memory.  The DistArray plan cache gives such
-  /// plans a small budget of their own and never lets them evict compact
-  /// plans (the ROADMAP cache-bypass heuristic).
-  [[nodiscard]] bool per_element_fragmented() const noexcept {
-    const std::size_t runs = pack_runs.size() + unpack_runs.size();
-    if (runs < 64) return false;
-    std::uint64_t moved = 0;
-    for (std::uint64_t c : send_counts) moved += c;
-    for (std::uint64_t c : recv_counts) moved += c;
-    return moved < 2 * runs;
-  }
-
-  /// Per-link balance of this rank's traffic: the maximum per-peer element
-  /// total (sent + received) over the mean across peers with the plan's
-  /// peer range.  1.0 when the plan moves nothing.  The plan cache
-  /// consults this alongside per_element_fragmented(): a fragmented plan
-  /// whose traffic concentrates on few links is a skewed-workload plan
-  /// (the PRPD hybrid flips), worth full cache priority -- only
-  /// fragmented AND balanced plans take the bypass lane.
-  [[nodiscard]] double link_skew() const noexcept {
-    const std::size_t np =
-        send_counts.size() > recv_counts.size() ? send_counts.size()
-                                                : recv_counts.size();
-    if (np == 0) return 1.0;
-    std::uint64_t total = 0;
-    std::uint64_t max = 0;
-    for (std::size_t p = 0; p < np; ++p) {
-      const std::uint64_t s = p < send_counts.size() ? send_counts[p] : 0;
-      const std::uint64_t r = p < recv_counts.size() ? recv_counts[p] : 0;
-      total += s + r;
-      max = s + r > max ? s + r : max;
-    }
-    if (total == 0) return 1.0;
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(np);
-    return static_cast<double>(max) / mean;
-  }
-
   /// Heap + inline bytes this plan holds (cache byte budgeting: fragmented
   /// plans carry O(N) Run entries and dominate any budget they share).
   [[nodiscard]] std::size_t footprint_bytes() const noexcept {

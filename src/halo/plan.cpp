@@ -366,54 +366,12 @@ HaloFill filled_widths(const dist::Distribution& d, const HaloSpec& spec,
   return f;
 }
 
-void HaloPlanCache::drop(std::uint64_t key, bool pressure) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) return;
-  if (pressure) {
-    budget_.evict(it->second.bytes);
-  } else {
-    budget_.remove(it->second.bytes);
-  }
-  lru_.erase(it->second.lru);
-  map_.erase(it);
-}
-
-void HaloPlanCache::set_max_bytes(std::size_t b) {
-  budget_.set_max_bytes(b);
-  while (!lru_.empty() && budget_.over()) evict_lru();
-}
-
 std::size_t HaloPlanCache::sweep(
     const std::vector<std::uint32_t>& live_dist_uids) {
-  std::vector<std::uint64_t> dead;
-  for (const auto& [key, e] : map_) {
-    const auto uid = static_cast<std::uint32_t>(key >> 33);
-    if (std::find(live_dist_uids.begin(), live_dist_uids.end(), uid) ==
-        live_dist_uids.end()) {
-      dead.push_back(key);
-    }
-  }
-  for (std::uint64_t key : dead) drop(key, /*pressure=*/false);
-  return dead.size();
-}
-
-std::shared_ptr<const HaloPlan> HaloPlanCache::insert(std::uint64_t key,
-                                                      Entry e) {
-  drop(key, /*pressure=*/false);  // replacing an entry must not leak bytes
-  e.bytes = sizeof(Entry) + e.plan->footprint_bytes();
-  // An entry larger than the whole ceiling would evict everything and
-  // still not fit: hand the plan back uncached, it rebuilds next time.
-  if (e.bytes > budget_.max_bytes()) return e.plan;
-  while (!lru_.empty() &&
-         (map_.size() >= kCapacity || budget_.would_exceed(e.bytes))) {
-    evict_lru();
-  }
-  lru_.push_front(key);
-  e.lru = lru_.begin();
-  budget_.add(e.bytes);
-  auto plan = e.plan;
-  map_.insert_or_assign(key, std::move(e));
-  return plan;
+  return cache_.erase_if([&](std::uint64_t, const Entry& e) {
+    return std::find(live_dist_uids.begin(), live_dist_uids.end(),
+                     e.dist.uid()) == live_dist_uids.end();
+  });
 }
 
 std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
@@ -422,20 +380,15 @@ std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
     throw std::invalid_argument(
         "HaloPlanCache: null distribution or halo handle");
   }
-  const bool cacheable = enabled_ && d.interned() && h.interned();
+  const bool cacheable = d.interned() && h.interned();
   if (cacheable) {
-    const auto it = map_.find(key_of(d, h));
-    if (it != map_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
-      return it->second.plan;
-    }
-    ++stats_.misses;
+    if (const Entry* e = cache_.find(key_of(d, h))) return e->plan;
   }
   auto plan =
       std::make_shared<const HaloPlan>(HaloPlan::build(*d, *h, me, np));
   if (cacheable) {
-    return insert(key_of(d, h), Entry{d, h, FamilyHandle{}, std::move(plan)});
+    cache_.insert(key_of(d, h), Entry{d, h, FamilyHandle{}, plan},
+                  sizeof(Entry) + plan->footprint_bytes());
   }
   return plan;
 }
@@ -446,20 +399,15 @@ std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
     throw std::invalid_argument(
         "HaloPlanCache: null distribution or family handle");
   }
-  const bool cacheable = enabled_ && d.interned() && f.interned();
+  const bool cacheable = d.interned() && f.interned();
   if (cacheable) {
-    const auto it = map_.find(key_of(d, f));
-    if (it != map_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
-      return it->second.plan;
-    }
-    ++stats_.misses;
+    if (const Entry* e = cache_.find(key_of(d, f))) return e->plan;
   }
   auto plan = std::make_shared<const HaloPlan>(
       HaloPlan::build_family(*d, *f, me, np));
   if (cacheable) {
-    return insert(key_of(d, f), Entry{d, HaloHandle{}, f, std::move(plan)});
+    cache_.insert(key_of(d, f), Entry{d, HaloHandle{}, f, plan},
+                  sizeof(Entry) + plan->footprint_bytes());
   }
   return plan;
 }

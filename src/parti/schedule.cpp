@@ -293,20 +293,14 @@ void Schedule::init_hybrid(
 
 const Schedule::Binding& Schedule::bind(const rt::DistArrayBase& a) const {
   const dist::DistHandle& d = a.dist_handle();
-  // Multi-array binding cache: most recently used first.  The hot path is
-  // an integer compare and a pointer compare against the front entry.
-  for (std::size_t k = 0; k < bindings_.size(); ++k) {
-    Binding& b = bindings_[k];
-    if (b.array_serial == a.serial() && b.dist == d) {
-      ++binding_hits_;
-      if (k != 0) {
-        // Rotate (not swap) the hit to the front so the tail keeps true
-        // recency order and pop_back always evicts the least recent.
-        std::rotate(bindings_.begin(), bindings_.begin() + k,
-                    bindings_.begin() + k + 1);
-      }
-      return bindings_.front();
-    }
+  // The hot path: the array's entry is current while it still holds the
+  // descriptor and overlap spec its offsets were translated under (two
+  // pointer compares).  After a DISTRIBUTE or set_overlap the entry is a
+  // miss, and the rebuilt binding below replaces it under the same key.
+  if (const Binding* b = bindings_.find(a.serial(), [&](const Binding& e) {
+        return e.dist == d && e.halo == a.halo_spec();
+      })) {
+    return *b;
   }
   // Identity hit against the inspected target is the expected case; a
   // descriptor-only swap to an equivalent spelling still binds through
@@ -327,21 +321,9 @@ const Schedule::Binding& Schedule::bind(const rt::DistArrayBase& a) const {
         "'s halo spec does not match the one this schedule was inspected "
         "with");
   }
-  ++binding_misses_;
-  // An array holds exactly one descriptor at a time, so on a miss every
-  // cached binding with this serial is stale (the array was redistributed
-  // to a different -- mapping-equivalent -- handle since it was
-  // translated).  Left in place, each DISTRIBUTE flip would leak one of
-  // the kBindingCapacity slots until LRU eviction and could squeeze out
-  // live bindings of other arrays; purge them now.
-  std::erase_if(bindings_, [&](const Binding& sb) {
-    if (sb.array_serial != a.serial()) return false;
-    binding_budget_.remove(binding_bytes(sb));  // stale drop, not eviction
-    return true;
-  });
   Binding b;
-  b.array_serial = a.serial();
   b.dist = d;
+  b.halo = a.halo_spec();
   b.serve_off.resize(serve_linear_.size());
   for (std::size_t k = 0; k < serve_linear_.size(); ++k) {
     b.serve_off[k] = static_cast<std::size_t>(
@@ -362,26 +344,8 @@ const Schedule::Binding& Schedule::bind(const rt::DistArrayBase& a) const {
     b.heavy_off[k] = static_cast<std::size_t>(
         a.storage_offset(dom_.delinearize(heavy_serve_linear_[k])));
   }
-  // Capacity backstop plus byte ceiling, both from the LRU tail.  The
-  // incoming binding always lands even if it alone exceeds the ceiling:
-  // an executor cannot run without its current binding.
   const std::size_t nb = binding_bytes(b);
-  while (!bindings_.empty() && (bindings_.size() >= kBindingCapacity ||
-                                binding_budget_.would_exceed(nb))) {
-    binding_budget_.evict(binding_bytes(bindings_.back()));
-    bindings_.pop_back();
-  }
-  binding_budget_.add(nb);
-  bindings_.insert(bindings_.begin(), std::move(b));
-  return bindings_.front();
-}
-
-void Schedule::set_binding_budget(std::size_t max_bytes) {
-  binding_budget_.set_max_bytes(max_bytes);
-  while (bindings_.size() > 1 && binding_budget_.over()) {
-    binding_budget_.evict(binding_bytes(bindings_.back()));
-    bindings_.pop_back();
-  }
+  return *bindings_.insert(a.serial(), std::move(b), nb);
 }
 
 }  // namespace vf::parti

@@ -283,6 +283,29 @@ std::shared_ptr<const halo::HaloPlan> DistArrayBase::lookup_halo_plan() {
   return env_->halo_plans().lookup_or_build(dist_, halo_, me, np);
 }
 
+void DistArrayBase::sweep_caches() {
+  hybrid_memo_.clear();
+  redist_plans_.erase_if([&](std::uint64_t, const PlanEntry& e) {
+    return e.od != dist_ && e.nd != dist_;
+  });
+}
+
+std::shared_ptr<const RedistPlan> DistArrayBase::redist_plan_for(
+    const dist::DistHandle& nd) {
+  const bool cacheable = dist_.interned() && nd.interned();
+  const std::uint64_t key = plan_key(dist_, nd);
+  if (cacheable) {
+    if (const PlanEntry* e = redist_plans_.find(key)) return e->plan;
+  }
+  auto plan = std::make_shared<const RedistPlan>(RedistPlan::build(
+      *dist_, *nd, env_->rank(), env_->nprocs(), ghost_lo_, ghost_hi_));
+  if (cacheable) {
+    const std::size_t bytes = sizeof(PlanEntry) + plan->footprint_bytes();
+    redist_plans_.insert(key, PlanEntry{dist_, nd, plan}, bytes);
+  }
+  return plan;
+}
+
 void DistArrayBase::distribute(const DistExpr& expr, const NoTransfer& nt) {
   check_distribute_legal(nt);
 
@@ -335,7 +358,7 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
   // already proves the mappings differ, so the O(N) comparison is skipped
   // on planned flips.
   const bool first = dist_ == nullptr;
-  if (!first && has_cached_plan(dist_, nd)) {
+  if (!first && redist_plans_.contains(plan_key(dist_, nd))) {
     apply_distribution(nd, true);
   } else if (!first && dist_->same_mapping(*nd)) {
     adopt_descriptor(nd);
@@ -354,7 +377,7 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
     DistArrayBase* a = m.array;
     if (a->dist_ == sd) continue;
     const bool transfer = a->dist_ != nullptr && !nt.contains(a);
-    if (transfer && a->has_cached_plan(a->dist_, sd)) {
+    if (transfer && a->redist_plans_.contains(plan_key(a->dist_, sd))) {
       a->apply_distribution(sd, true);
       continue;
     }

@@ -168,7 +168,7 @@ TEST(HaloPlanCacheLifecycle, ByteBudgetEvictsLruKeepsTouched) {
   ASSERT_NE(cache.lookup_or_build(dc, h, 1, 4), nullptr);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+  EXPECT_LE(cache.resident_bytes(), two_entries);
 
   const auto hits_before = cache.stats().hits;
   ASSERT_NE(cache.lookup_or_build(da, h, 1, 4), nullptr);
@@ -241,6 +241,39 @@ TEST(EnvSweep, CachedPlanPinsRetiredDescriptorUntilDropped) {
 
     a.for_owned([&](const IndexVec& i, double& v) {
       ck.check_eq(v, 7.0 * i[0], ctx.rank(), "values intact");
+    });
+  });
+}
+
+TEST(EnvSweep, RankDependentReclaimKeepsLockstepQuiet) {
+  // Which interns a sweep reclaims depends on each rank's cache contents,
+  // so a re-interned descriptor may carry a different uid on each rank.
+  // The lockstep notes of DISTRIBUTE and the halo exchange must not
+  // depend on uids, or an armed run reports a divergence that is not one.
+  msg::Machine m(4);
+  m.set_lockstep_check(true);
+  testing::run_checked_on(m, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    const IndexDomain dom = IndexDomain::of_extents({16});
+    DistArray<double> a(env, {.name = "A",
+                              .domain = dom,
+                              .dynamic = true,
+                              .initial = DistributionType{block()},
+                              .overlap_lo = {1},
+                              .overlap_hi = {1}});
+    a.init([](const IndexVec& i) { return 2.0 * i[0]; });
+    const std::uint32_t block_uid = a.dist_handle().uid();
+    // Only rank 0 caches no plans, so only there does the sweep reclaim
+    // BLOCK, and re-interning it mints a fresh uid.
+    if (ctx.rank() == 0) a.set_redist_plan_cache(false);
+    a.distribute(DistributionType{s_block({2, 6, 4, 4})});
+    env.sweep();
+    a.distribute(DistributionType{block()});
+    ck.check_eq(a.dist_handle().uid() != block_uid, ctx.rank() == 0,
+                ctx.rank(), "uids diverged across ranks");
+    a.exchange_overlap();
+    a.for_owned([&](const IndexVec& i, double& v) {
+      ck.check_eq(v, 2.0 * i[0], ctx.rank(), "values intact");
     });
   });
 }

@@ -356,6 +356,51 @@ TEST(Schedule, BindingCachePurgesStaleEntriesAcrossFlips) {
   });
 }
 
+/// set_overlap re-pads the local storage of the SAME array under the SAME
+/// descriptor, so every storage offset a binding translated moves with it.
+/// The binding cache keys on the array serial and checks the array's
+/// current (dist, halo) handles, so the next executor call re-translates
+/// and the new binding replaces the stale one.
+void gather_across_overlap_change(const IndexVec& from, const IndexVec& to) {
+  run_checked(4, [&](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    DistArray<double> a(env, {.name = "A",
+                              .domain = IndexDomain::of_extents({32}),
+                              .initial = DistributionType{block()},
+                              .overlap_lo = from,
+                              .overlap_hi = from});
+    a.init([](const IndexVec& i) { return 10.0 * i[0]; });
+    // Scattered points: some owned here, most owned by other ranks.
+    std::vector<IndexVec> wanted;
+    for (Index g = 1 + ctx.rank(); g <= 32; g += 3) wanted.push_back({g});
+    Schedule s(ctx, a.dist_handle(), wanted);
+    std::vector<double> out(wanted.size());
+    const auto check = [&](const std::string& when) {
+      std::fill(out.begin(), out.end(), -1.0);
+      s.gather(ctx, a, out);
+      for (std::size_t k = 0; k < wanted.size(); ++k) {
+        ck.check_eq(out[k], 10.0 * wanted[k][0], ctx.rank(),
+                    "gather " + when + " at " + std::to_string(wanted[k][0]));
+      }
+    };
+    check("before set_overlap");
+    a.set_overlap(to, to, /*corners=*/false, /*asymmetric=*/false);
+    check("after set_overlap");
+    ck.check_eq(s.binding_misses(), std::uint64_t{2}, ctx.rank(),
+                "the reshape forced one re-translation");
+    ck.check_eq(s.n_bound_arrays(), std::size_t{1}, ctx.rank(),
+                "the rebuilt binding replaced the stale one");
+  });
+}
+
+TEST(Schedule, BindingRetranslatesWhenOverlapGrows) {
+  gather_across_overlap_change({0}, {2});
+}
+
+TEST(Schedule, BindingRetranslatesWhenOverlapShrinks) {
+  gather_across_overlap_change({2}, {0});
+}
+
 TEST(Schedule, RandomizedGatherAgainstGlobalTruth) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);

@@ -236,37 +236,6 @@ TEST(SkewHybridize, DeclinesWhenItDoesNotApply) {
   EXPECT_FALSE(dist::hybridize(reg, od2, nd2, {}));
 }
 
-// ---- plan-cache bypass heuristic (fragmented AND balanced only) -----------
-
-TEST(RedistPlanSkew, LinkSkewSeparatesBalancedFromHotLink) {
-  using Plans = DistArray<double>;
-  RedistPlan balanced;
-  for (int k = 0; k < 64; ++k) {
-    balanced.pack_runs.push_back(
-        {static_cast<std::size_t>(k), 1, k % 4});
-  }
-  balanced.send_counts = {16, 16, 16, 16};
-  balanced.recv_counts = {0, 0, 0, 0};
-  EXPECT_TRUE(balanced.per_element_fragmented());
-  EXPECT_DOUBLE_EQ(balanced.link_skew(), 1.0);  // 16 to every peer
-  EXPECT_TRUE(Plans::bypass_eligible(balanced));
-
-  RedistPlan hot = balanced;
-  hot.send_counts = {61, 1, 1, 1};
-  EXPECT_TRUE(hot.per_element_fragmented());
-  EXPECT_DOUBLE_EQ(hot.link_skew(), 61.0 / 16.0);  // under threshold: 3.8125
-  EXPECT_TRUE(Plans::bypass_eligible(hot));
-  hot.send_counts = {64, 0, 0, 0};
-  hot.recv_counts = {64, 0, 0, 0};
-  EXPECT_GE(hot.link_skew(), Plans::kPlanSkewThreshold);
-  // Fragmented but link-skewed: a PRPD hybrid-flip plan, full priority.
-  EXPECT_FALSE(Plans::bypass_eligible(hot));
-
-  RedistPlan empty;
-  EXPECT_DOUBLE_EQ(empty.link_skew(), 1.0);
-  EXPECT_FALSE(empty.per_element_fragmented());
-}
-
 // ---- end-to-end DISTRIBUTE: hybrid vs all-to-owner ------------------------
 
 TEST(SkewRedist, SkewedTargetIsHybridizedAndBalanced) {
