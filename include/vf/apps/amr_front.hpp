@@ -6,7 +6,7 @@
 // read with, which differs per rank AND per side of its segment: the spec
 // is per-rank asymmetric, re-declared (set_overlap) every time the front
 // moves, reconciled by the plan-time spec exchange and exchanged through a
-// family-keyed cached HaloPlan.
+// family-keyed cached halo plan.
 //
 // The update rule is a pure function of the GLOBAL index and the step, so
 // a sequential reference evaluates the identical arithmetic in the

@@ -1,25 +1,27 @@
 // Run-based halo (overlap-area) exchange plans -- the ghost-region
-// counterpart of rt::RedistPlan.
+// counterpart of the redistribution plan (rt/redist_plan.hpp), in the same
+// msg::RunPlan format and replayed by the same executor.
 //
 // The overlap exchange of a distribution + halo spec pair is deterministic
 // per rank: every ghost region is filled by exactly one neighbouring rank
 // (the nearest coordinate owning planes in that direction, clipped to what
 // it owns), and both sides enumerate the region in the same local
-// column-major order, so only values travel.  A HaloPlan is the inspector
+// column-major order, so only values travel.  A halo plan is the inspector
 // product of that enumeration:
 //
-//   * pack_runs:   maximal innermost-dimension contiguous runs of local
+//   * pack runs:   maximal innermost-dimension contiguous runs of local
 //                  storage whose elements fill one neighbour's ghost
 //                  region -- one memcpy per run into that peer's buffer;
 //   * send_counts: exact per-peer element counts, so buffers are sized
 //                  once with no counting pass at exchange time;
-//   * unpack_runs / recv_counts: the mirror image into this rank's ghost
-//                  storage.
+//   * unpack runs / recv_counts: the mirror image into this rank's ghost
+//                  storage, grouped by source so a split-phase consumer
+//                  scatters one arriving payload by walking only that
+//                  peer's runs.
 //
 // With spec.corners() set, diagonal directions (more than one non-zero
-// per-dimension offset) are exchanged in the same single alltoallv --
-// the corner traffic a 9-point stencil needs and the face-only routine
-// formerly buried in rt::array_base could not produce.
+// per-dimension offset) are exchanged in the same single exchange -- the
+// corner traffic a 9-point stencil needs.
 //
 // Plans depend only on (Distribution, HaloSpec, rank, nprocs), so they are
 // cached per Env in a HaloPlanCache keyed on the flat
@@ -37,88 +39,36 @@
 #include "vf/dist/distribution.hpp"
 #include "vf/dist/registry.hpp"
 #include "vf/halo/spec.hpp"
+#include "vf/msg/run_plan.hpp"
 
 namespace vf::halo {
 
-struct HaloPlan {
-  /// One contiguous span of local storage exchanged with one peer.
-  struct Run {
-    std::size_t offset;  ///< element offset into local (ghost-padded) storage
-    std::size_t length;  ///< run length in elements
-    int peer;            ///< destination (pack) / source (unpack) rank
-  };
-
-  /// One contiguous block of unpack_runs sourced from one peer: entries
-  /// [begin, end) of unpack_runs all carry .peer == peer, in the
-  /// enumeration order the peer packs.  Split-phase consumers use this to
-  /// scatter ONE arriving payload without scanning the whole run list
-  /// (the zero-copy transport hands payloads over peer by peer).
-  struct PeerRuns {
-    int peer;
-    std::uint32_t begin;
-    std::uint32_t end;
-  };
-
-  std::vector<Run> pack_runs;
-  std::vector<std::uint64_t> send_counts;
-  std::vector<Run> unpack_runs;
-  std::vector<PeerRuns> unpack_peers;  ///< unpack_runs grouped by source
-  std::vector<std::uint64_t> recv_counts;
-
-  /// Declared ghost widths of this rank per side (zeros for non-members
-  /// and empty specs): the interior margins of a split-phase exchange.
-  /// Owned elements at least this far from every ghosted face cannot be
-  /// read by any stencil the halo serves (reach <= declared width by
-  /// contract), so they are safe to update while the exchange is in
-  /// flight.  Declared -- not clipped -- widths: partial fill only ever
-  /// shrinks what arrives, so these margins are conservative.
-  dist::IndexVec interior_lo;
-  dist::IndexVec interior_hi;
-
-  /// Total elements this rank sends per exchange.
-  [[nodiscard]] std::uint64_t sent_elems() const noexcept {
-    std::uint64_t n = 0;
-    for (std::uint64_t c : send_counts) n += c;
-    return n;
-  }
-
-  /// Builds the plan for rank `me` of an `np`-rank machine under a
-  /// uniform (SPMD-declared) spec.  Purely local: no communication.
-  /// Ghosted dimensions must be contiguous.  Ghost widths wider than a
-  /// neighbour's owned segment are clipped ("partial fill").
-  [[nodiscard]] static HaloPlan build(const dist::Distribution& d,
+/// Builds the plan for rank `me` of an `np`-rank machine under a uniform
+/// (SPMD-declared) spec.  Purely local: no communication.  Ghosted
+/// dimensions must be contiguous.  Ghost widths wider than a neighbour's
+/// owned segment are clipped ("partial fill").
+[[nodiscard]] msg::RunPlan build_plan(const dist::Distribution& d,
                                       const HaloSpec& spec, int me, int np);
 
-  /// Builds the plan for rank `me` under a reconciled per-rank spec
-  /// family (halo/exchange.hpp): the receive side enumerates MY ghost
-  /// regions from my own spec, the send side packs exactly what each
-  /// neighbour's spec demands -- so a rank with an empty local spec still
-  /// serves its wide-halo neighbours.  Purely local once the family is
-  /// known (the spec exchange already ran).  A uniform family delegates to
-  /// the uniform build above (including its partial-fill clipping); a
-  /// genuinely asymmetric family is validated strictly first: every
-  /// ghosted dimension must be contiguous for every member, and a rank
-  /// requesting a ghost wider than its neighbour's owned segment is a
-  /// std::invalid_argument naming the rank, dimension and widths
-  /// (asymmetric widths are refinement-driven and exact by contract;
-  /// silent clipping would hide a mis-sized front).
-  [[nodiscard]] static HaloPlan build_family(const dist::Distribution& d,
+/// Builds the plan for rank `me` under a reconciled per-rank spec family
+/// (halo/exchange.hpp): the receive side enumerates MY ghost regions from
+/// my own spec, the send side packs exactly what each neighbour's spec
+/// demands -- so a rank with an empty local spec still serves its
+/// wide-halo neighbours.  Purely local once the family is known (the spec
+/// exchange already ran).  A uniform family delegates to build_plan
+/// (including its partial-fill clipping); a genuinely asymmetric family is
+/// validated strictly first: every ghosted dimension must be contiguous
+/// for every member, and a rank requesting a ghost wider than its
+/// neighbour's owned segment is a std::invalid_argument naming the rank,
+/// dimension and widths (asymmetric widths are refinement-driven and exact
+/// by contract; silent clipping would hide a mis-sized front).
+[[nodiscard]] msg::RunPlan build_family_plan(const dist::Distribution& d,
                                              const HaloFamily& fam, int me,
                                              int np);
 
-  /// Process-wide count of build() invocations (monotonic; the repeat-
-  /// exchange tests assert the cache keeps this flat on the hot path).
-  [[nodiscard]] static std::uint64_t builds() noexcept;
-
-  /// Heap + inline bytes this plan holds (cache byte budgeting).
-  [[nodiscard]] std::size_t footprint_bytes() const noexcept {
-    return sizeof(HaloPlan) + pack_runs.capacity() * sizeof(Run) +
-           unpack_runs.capacity() * sizeof(Run) +
-           unpack_peers.capacity() * sizeof(PeerRuns) +
-           (send_counts.capacity() + recv_counts.capacity()) *
-               sizeof(std::uint64_t);
-  }
-};
+/// Process-wide count of halo plan builds (monotonic; the repeat-exchange
+/// tests assert the cache keeps this flat on the hot path).
+[[nodiscard]] std::uint64_t plan_builds() noexcept;
 
 /// Receiver-side filled ghost widths of one rank: how many ghost planes on
 /// each side actually receive values during an exchange (clipped by the
@@ -135,7 +85,7 @@ struct HaloFill {
 [[nodiscard]] HaloFill filled_widths(const dist::Distribution& d,
                                      const HaloSpec& spec, int me);
 
-/// Per-Env cache of HaloPlans keyed on the (DistHandle uid, HaloSpec uid)
+/// Per-Env cache of halo plans keyed on the (DistHandle uid, HaloSpec uid)
 /// pair.  Identity-keyed: a hit is one integer compare per resident entry
 /// with no structural comparison or index-list rebuild.  Uninterned
 /// handles (uid 0) are uncacheable and rebuild every time -- the
@@ -149,7 +99,7 @@ class HaloPlanCache {
 
   /// Returns the cached plan for (d, h), building and caching it on a
   /// miss.
-  [[nodiscard]] std::shared_ptr<const HaloPlan> lookup_or_build(
+  [[nodiscard]] std::shared_ptr<const msg::RunPlan> lookup_or_build(
       const dist::DistHandle& d, const HaloHandle& h, int me, int np);
 
   /// Family-keyed lookup for asymmetric per-rank specs: the key packs the
@@ -158,7 +108,7 @@ class HaloPlanCache {
   /// uniform overload above, so an asymmetric declaration that reconciles
   /// to a uniform family hits the very same cache entry a uniform
   /// declaration would.
-  [[nodiscard]] std::shared_ptr<const HaloPlan> lookup_or_build(
+  [[nodiscard]] std::shared_ptr<const msg::RunPlan> lookup_or_build(
       const dist::DistHandle& d, const FamilyHandle& f, int me, int np);
 
   /// Disabling also drops cached plans and the counters (benchmarks
@@ -197,7 +147,7 @@ class HaloPlanCache {
     dist::DistHandle dist;
     HaloHandle halo;
     FamilyHandle family;
-    std::shared_ptr<const HaloPlan> plan;
+    std::shared_ptr<const msg::RunPlan> plan;
   };
 
   // Spec and family uids live in separate registry keyspaces, so the key

@@ -8,7 +8,7 @@
 // (BLOCK, BLOCK) grid.  Specs are interned through dist::DistRegistry
 // alongside distributions, so spec equality is pointer identity and the
 // (DistHandle uid, HaloSpec uid) pair is a flat integer key for the
-// run-based HaloPlan cache (see halo/plan.hpp).
+// run-based halo-plan cache (see halo/plan.hpp).
 #pragma once
 
 #include <cstdint>

@@ -427,7 +427,7 @@ class Context {
   /// count raises an error below, but if a sender holds ZERO elements for
   /// a peer expecting more, no message travels and the receiver blocks in
   /// recv -- the same failure mode as mismatched MPI counts.  Callers must
-  /// derive both sides from one deterministic computation (a RedistPlan or
+  /// derive both sides from one deterministic computation (a RunPlan or
   /// Schedule inspector), never from independent guesses.
   template <detail::TriviallySendable T>
   [[nodiscard]] std::vector<std::vector<T>> alltoallv_known(
@@ -490,8 +490,8 @@ class Context {
   /// slot is copied send -> recv without touching the network.
   ///
   /// This is the executor-replay transport: a warmed-up replay (cached
-  /// RedistPlan, PARTI executor, halo exchange) allocates nothing on
-  /// either side of the exchange.  The count precondition of
+  /// redistribution RunPlan, PARTI executor, halo exchange) allocates
+  /// nothing on either side of the exchange.  The count precondition of
   /// alltoallv_known applies unchanged: both ranks' lane geometries must
   /// come from one deterministic inspector product, and a zero-size send
   /// a peer expects data for blocks that peer in recv.

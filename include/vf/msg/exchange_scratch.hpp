@@ -22,13 +22,13 @@
 //     warmup, a healthy replay loop shows grow_allocs == 0 -- the
 //     allocs_per_replay counter bench_parti/bench_pic emit and CI gates.
 //
-// The lane's receive buffers pair with Context::alltoallv_known_into,
-// which fills caller-owned storage instead of returning freshly
-// allocated vectors -- completing on the receive side the reuse story
-// PR 3's send-side-only transport variant started.  (The simulated
-// transport still copies payloads through mailboxes internally; the
-// counters measure executor-side buffer allocations, which is what the
-// inspector/executor amortization argument is about.)
+// The lane's buffers pair with Context::alltoallv_known_into and the
+// split-phase begin_exchange/end_exchange, which read the send side and
+// fill the receive side in place instead of returning freshly allocated
+// vectors.  (The mailbox transport still copies payloads through
+// mailboxes internally; the counters measure executor-side buffer
+// allocations, which is what the inspector/executor amortization
+// argument is about.)
 #pragma once
 
 #include <cassert>
@@ -47,8 +47,7 @@ namespace vf::msg {
 class ExchangeScratch;
 
 /// One element-size lane of an ExchangeScratch arena: per-peer send and
-/// receive byte buffers plus a per-peer cursor array (for run-walking
-/// pack/unpack loops).  Obtained via ExchangeScratch::lane(); references
+/// receive byte buffers.  Obtained via ExchangeScratch::lane(); references
 /// stay valid for the lifetime of the arena.
 class ExchangeLane {
  public:
@@ -85,18 +84,17 @@ class ExchangeLane {
     return {reinterpret_cast<const T*>(b.data()), b.size() / sizeof(T)};
   }
 
-  /// Raw byte views (what the transport reads/writes).
+  /// Raw byte views (what the executors pack and the transport
+  /// reads/writes).
+  [[nodiscard]] std::span<std::byte> send_bytes(int peer) noexcept {
+    return send_[static_cast<std::size_t>(peer)];
+  }
   [[nodiscard]] std::span<const std::byte> send_bytes(int peer) const noexcept {
     return send_[static_cast<std::size_t>(peer)];
   }
   [[nodiscard]] std::span<std::byte> recv_bytes(int peer) noexcept {
     return recv_[static_cast<std::size_t>(peer)];
   }
-
-  /// Per-peer element cursors, zeroed by prepare(): scratch for the
-  /// run-walking pack/unpack loops (replaces the per-call cursor vectors
-  /// executors used to allocate).
-  [[nodiscard]] std::span<std::size_t> cursors() noexcept { return cursors_; }
 
   /// Internal (Context::begin_exchange): remembers that this lane's send
   /// buffers are published to `tx` under `tag` until the matching
@@ -144,7 +142,6 @@ class ExchangeLane {
   std::size_t elem_size_;
   std::vector<std::vector<std::byte>> send_;
   std::vector<std::vector<std::byte>> recv_;
-  std::vector<std::size_t> cursors_;
 
   // In-flight publication of the send buffers (split-phase window
   // between begin_exchange and end_exchange); see note_published.
@@ -248,8 +245,6 @@ inline void ExchangeLane::prepare(std::span<const std::uint64_t> send_counts,
   send_.resize(np);
   if (recv_.capacity() < np) ++owner_->stats_.grow_allocs;
   recv_.resize(np);
-  if (cursors_.capacity() < np) ++owner_->stats_.grow_allocs;
-  cursors_.assign(np, 0);
   for (std::size_t p = 0; p < np; ++p) {
     grow_resize(send_[p], static_cast<std::size_t>(send_counts[p]) *
                               elem_size_);

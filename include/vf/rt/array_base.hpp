@@ -1,12 +1,15 @@
 // Type-erased distributed-array base: descriptors, the DYNAMIC attribute,
 // RANGE enforcement, the DISTRIBUTE statement (paper Sections 2.3, 2.4
-// and 3.2.2), and the element-type-independent local storage geometry
+// and 3.2.2), the element-type-independent local storage geometry
 // (overlap widths, allocation strides, loc_map offsets) that both the
-// runtime and the PARTI executors address through.
+// runtime and the PARTI executors address through, and the data motion of
+// DISTRIBUTE and the overlap exchange: one msg::RunPlan replayed by the
+// byte-level executor, reaching typed storage through two storage hooks.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -272,6 +275,46 @@ class DistArrayBase {
   /// Number of bytes per element (for communication accounting).
   [[nodiscard]] virtual std::size_t element_size() const noexcept = 0;
 
+  // ---- overlap areas -------------------------------------------------------
+
+  /// Exchanges overlap areas with segment neighbours in every dimension
+  /// with non-zero ghost widths (collective); with overlap_corners set,
+  /// diagonal regions travel in the same exchange.  The run plan comes
+  /// from the Env's halo-plan cache keyed on this array's (DistHandle,
+  /// HaloSpec) uid pair: a repeat exchange under an unchanged distribution
+  /// replays memcpy runs with pre-agreed counts (no count collective, no
+  /// index-list rebuild); a DISTRIBUTE swaps the handle and thereby the
+  /// plan.
+  void exchange_overlap();
+
+  // ---- split-phase overlap exchange ---------------------------------------
+  //
+  // begin_exchange_overlap() packs this rank's boundary planes (a
+  // SNAPSHOT: later owned writes do not affect what peers receive) and
+  // starts the exchange on the machine's active transport;
+  // end_exchange_overlap() completes it, scattering arriving payloads
+  // into the ghost planes.  Between the two calls:
+  //
+  //   * owned elements remain readable AND writable -- the exchange
+  //     works from the packed snapshot and writes only ghost storage;
+  //   * ghost values are UNSPECIFIED: halo() reads of non-owned points
+  //     are only meaningful again after end_exchange_overlap() returns;
+  //   * DISTRIBUTE, set_overlap and a second begin on this array throw
+  //     ExchangeInFlightError -- they would tear down the plan and
+  //     storage the pending exchange unpacks into;
+  //   * the overlapped-computation pattern is
+  //         src.begin_exchange_overlap();
+  //         /* update interior points: for_owned_interior */
+  //         src.end_exchange_overlap();
+  //         /* update boundary points: for_owned_boundary */
+  //     which is bitwise-identical to exchange_overlap() followed by a
+  //     full sweep, because interior points never read ghost values.
+  //
+  // Collective exactly like exchange_overlap(): every rank must begin
+  // and end in matching order.
+  void begin_exchange_overlap();
+  void end_exchange_overlap();
+
   /// Whether a split-phase overlap exchange (begin_exchange_overlap) is
   /// pending on this array.  While true, DISTRIBUTE, set_overlap and a
   /// second begin throw ExchangeInFlightError; end_exchange_overlap()
@@ -332,17 +375,22 @@ class DistArrayBase {
     redist_plans_.set_max_bytes(max_bytes);
   }
 
-  /// The per-side interior margins of this rank under the array's halo
-  /// plan: owned elements at least this far from every face are safe to
-  /// update while an overlap exchange is in flight (see
-  /// HaloPlan::interior_lo).  Uses the pending plan when an exchange is
-  /// in flight, so a consumer array of a different shape (e.g. the amr
+  /// The per-side interior margins of this rank: its declared ghost
+  /// widths.  Owned elements at least this far from every ghosted face
+  /// cannot be read by any stencil the halo serves (reach <= declared
+  /// width by contract), so they are safe to update while an overlap
+  /// exchange is in flight.  Declared -- not clipped -- widths: partial
+  /// fill only ever shrinks what arrives, so the margins are
+  /// conservative.  A consumer array of a different shape (e.g. the amr
   /// destination) can partition ITS traversal by the source's margins.
+  /// Local: no plan lookup, no communication.
   struct SplitMargins {
     dist::IndexVec lo;
     dist::IndexVec hi;
   };
-  [[nodiscard]] SplitMargins split_margins();
+  [[nodiscard]] SplitMargins split_margins() const {
+    return SplitMargins{ghost_lo_, ghost_hi_};
+  }
 
   /// Counters of this array's exchange scratch (shared by DISTRIBUTE
   /// replay and exchange_overlap): prepares == replays that moved data
@@ -470,15 +518,20 @@ class DistArrayBase {
                 bool dynamic, query::RangeSpec range,
                 std::optional<Connection> connect);
 
-  /// Installs a new distribution.  When `transfer` is true the previous
-  /// distribution's data must be moved to the new one (collective); when
-  /// false the storage is reallocated with unspecified contents.
-  virtual void apply_distribution(dist::DistHandle nd, bool transfer) = 0;
+  // ---- typed storage hooks -------------------------------------------------
+  // The only typed code the data motion needs: the executor moves bytes
+  // (element_size() per element) through these.
 
-  /// Installs a new distribution that is mapping-equivalent to the current
-  /// one: only the descriptor changes (e.g. DISTRIBUTE to an S_BLOCK that
-  /// happens to equal the current BLOCK); data stays in place.
-  virtual void adopt_descriptor(dist::DistHandle nd) = 0;
+  /// This rank's local storage (alloc_total() elements).
+  [[nodiscard]] virtual std::byte* storage_bytes() noexcept = 0;
+  /// Reallocates local storage for the current shape (alloc_total()
+  /// zeroed elements), reusing its capacity.
+  virtual void reset_storage() = 0;
+
+  /// Installs `nd` without moving data: storage is reallocated zeroed,
+  /// unless `keep_storage` (a mapping-equivalent swap: same owned sets,
+  /// local order and sizes, so only the descriptor changes).
+  void install_distribution(dist::DistHandle nd, bool keep_storage = false);
 
   /// The (old, new) handle-identity key of the plan cache.  Interning
   /// makes identity equivalent to structural equality, so a hit needs no
@@ -493,15 +546,20 @@ class DistArrayBase {
   /// and caches it.  Handles that never went through a registry (uid 0)
   /// are uncacheable and always rebuild -- exactly the benchmark cold
   /// path.
-  [[nodiscard]] std::shared_ptr<const RedistPlan> redist_plan_for(
+  [[nodiscard]] std::shared_ptr<const msg::RunPlan> redist_plan_for(
       const dist::DistHandle& nd);
 
-  /// Called by subclasses and the DISTRIBUTE engine after storage has been
-  /// swapped.
-  void set_distribution(dist::DistHandle d) {
-    dist_ = std::move(d);
-    layout_ = dist_ ? dist_->layout_for(env_->rank()) : dist::LocalLayout{};
-  }
+  /// The data-motion core of DISTRIBUTE (Section 3.2.2): packs the old
+  /// storage along the cached plan, exchanges, and only then installs the
+  /// new distribution and unpacks -- an abort inside the exchange leaves
+  /// the array on its old distribution with its data intact.
+  void redistribute_data(dist::DistHandle nd);
+
+  /// Moves this array to `nd`: a planned flip replays its cached plan, a
+  /// mapping-equivalent target swaps only the descriptor (data stays in
+  /// place), and anything else moves data (`transfer`) or installs fresh
+  /// storage.
+  void switch_distribution(dist::DistHandle nd, bool transfer);
 
   void check_range(const dist::DistributionType& t) const {
     if (!query::range_allows(range_, t)) {
@@ -597,7 +655,7 @@ class DistArrayBase {
   /// detected the family is actually uniform -- key on the family uid
   /// instead, so two ranks with different local specs can never alias one
   /// plan entry.
-  [[nodiscard]] std::shared_ptr<const halo::HaloPlan> lookup_halo_plan();
+  [[nodiscard]] std::shared_ptr<const msg::RunPlan> lookup_halo_plan();
 
   /// The DISTRIBUTE engine proper, after the target descriptor has been
   /// resolved to an interned handle.
@@ -612,7 +670,7 @@ class DistArrayBase {
   /// Recomputes the allocation shape (counts, strides, segment bases)
   /// and the affine access form for the current distribution and ghost
   /// widths.  Every geometry change (DISTRIBUTE, no-transfer install,
-  /// adopt_descriptor, set_overlap reshape) goes through here.
+  /// descriptor-only swap, set_overlap reshape) goes through here.
   void rebuild_storage_shape();
 
   [[nodiscard]] static std::uint64_t next_serial() noexcept {
@@ -642,12 +700,12 @@ class DistArrayBase {
   // mid-flight.
   bool exchange_in_flight_ = false;
   int pending_exchange_tag_ = 0;
-  std::shared_ptr<const halo::HaloPlan> pending_halo_plan_;
+  std::shared_ptr<const msg::RunPlan> pending_halo_plan_;
 
   // Persistent exchange scratch shared by every executor replay this
   // array performs (cached DISTRIBUTE data motion, halo exchange): one
-  // element-size lane (sizeof(T)), per-peer send/recv buffers and run
-  // cursors that survive across calls.
+  // element-size lane, per-peer send/recv buffers that survive across
+  // calls.
   mutable msg::ExchangeScratch exch_scratch_;
 
   // Skew-aware redistribution state: the per-array policy and knobs, the
@@ -669,7 +727,7 @@ class DistArrayBase {
   struct PlanEntry {
     dist::DistHandle od;
     dist::DistHandle nd;
-    std::shared_ptr<const RedistPlan> plan;
+    std::shared_ptr<const msg::RunPlan> plan;
   };
   static constexpr std::size_t kPlanCacheCapacity = 8;
   static constexpr std::size_t kDefaultPlanBudgetBytes = std::size_t{64} << 20;

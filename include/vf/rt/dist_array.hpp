@@ -4,15 +4,12 @@
 //   * local storage in each processor's memory, laid out column-major over
 //     the owned index set, with optional overlap (ghost) areas;
 //   * the access functions loc_map (owned access) and halo access;
-//   * the realization of the DISTRIBUTE statement's data motion
-//     (Section 3.2.2): the exchange is decomposed into maximal
-//     innermost-dimension contiguous runs (RedistPlan), moved with memcpy
-//     into exactly-sized buffers, and shipped with at most one message per
-//     destination processor.  Plans are cached per (old, new) distribution
-//     pair, so repeated DISTRIBUTE flips -- the ADI row/column pattern of
-//     Section 4 -- pay the inspector cost once;
-//   * overlap-area exchange for stencil codes and global reductions, also
-//     run-based.
+//   * the owned-element walkers and global reductions.
+//
+// The data motion -- DISTRIBUTE (Section 3.2.2) and the overlap exchange --
+// is element-type independent and lives in DistArrayBase: both replay a
+// cached msg::RunPlan of contiguous runs through one byte-level executor,
+// reaching this class's storage through two storage hooks.
 //
 // Declaration mirrors the language syntax through DistArray<T>::Spec:
 //
@@ -26,7 +23,6 @@
 //                                       {p_block(), p_col()}}});
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -35,7 +31,6 @@
 
 #include "vf/msg/context.hpp"
 #include "vf/rt/array_base.hpp"
-#include "vf/rt/redist_plan.hpp"
 
 namespace vf::rt {
 
@@ -200,51 +195,16 @@ class DistArray final : public DistArrayBase {
   }
 
   // ---- overlap areas -------------------------------------------------------
-
-  /// Exchanges overlap areas with segment neighbours in every dimension
-  /// with non-zero ghost widths (collective); with overlap_corners set,
-  /// diagonal regions travel in the same exchange.  The pack/unpack run
-  /// lists come from the Env's halo-plan cache keyed on this array's
-  /// (DistHandle, HaloSpec) uid pair: a repeat exchange under an
-  /// unchanged distribution replays memcpy runs with pre-agreed counts
-  /// (no count collective, no index-list rebuild); a DISTRIBUTE swaps the
-  /// handle and thereby the plan.
-  void exchange_overlap();
-
-  // ---- split-phase overlap exchange ---------------------------------------
-  //
-  // begin_exchange_overlap() packs this rank's boundary planes (a
-  // SNAPSHOT: later owned writes do not affect what peers receive) and
-  // starts the exchange on the machine's active transport;
-  // end_exchange_overlap() completes it, scattering arriving payloads
-  // into the ghost planes.  Between the two calls:
-  //
-  //   * owned elements remain readable AND writable -- the exchange
-  //     works from the packed snapshot and writes only ghost storage;
-  //   * ghost values are UNSPECIFIED: halo() reads of non-owned points
-  //     are only meaningful again after end_exchange_overlap() returns;
-  //   * DISTRIBUTE, set_overlap and a second begin on this array throw
-  //     ExchangeInFlightError -- they would tear down the plan and
-  //     storage the pending exchange unpacks into;
-  //   * the overlapped-computation pattern is
-  //         src.begin_exchange_overlap();
-  //         /* update interior points: for_owned_interior */
-  //         src.end_exchange_overlap();
-  //         /* update boundary points: for_owned_boundary */
-  //     which is bitwise-identical to exchange_overlap() followed by a
-  //     full sweep, because interior points never read ghost values.
-  //
-  // Collective exactly like exchange_overlap(): every rank must begin
-  // and end in matching order.
-  void begin_exchange_overlap();
-  void end_exchange_overlap();
+  // exchange_overlap() and the split-phase begin/end pair are
+  // DistArrayBase members; the traversals below partition the owned set
+  // around an exchange in flight.
 
   /// Calls fn(i, element) for every owned element whose per-dimension
-  /// distance from this rank's segment faces is at least the plan's
-  /// interior margin (HaloPlan::interior_lo/_hi) -- the elements whose
-  /// stencil reads cannot touch ghost storage, safe to update while an
-  /// overlap exchange is in flight.  One rectangular core box, walked in
-  /// column-major order.
+  /// distance from this rank's segment faces is at least the interior
+  /// margin (split_margins(): the declared ghost widths) -- the elements
+  /// whose stencil reads cannot touch ghost storage, safe to update while
+  /// an overlap exchange is in flight.  One rectangular core box, walked
+  /// in column-major order.
   template <typename F>
   void for_owned_interior(F&& fn) {
     for_owned_interior(split_margins(), std::forward<F>(fn));
@@ -367,7 +327,7 @@ class DistArray final : public DistArrayBase {
             dist::DistHandle sd = cclass_->construct_handle_for(
                 m, prim->dist_handle(), env.registry());
             check_range(sd->type());
-            apply_distribution(std::move(sd), false);
+            install_distribution(std::move(sd));
             break;
           }
         }
@@ -392,14 +352,14 @@ class DistArray final : public DistArrayBase {
       }
       dist::DistHandle d = env.registry().intern(spec.initial_dist.ptr());
       check_range(d->type());
-      apply_distribution(std::move(d), false);
+      install_distribution(std::move(d));
       return;
     }
     if (spec.initial) {
       dist::DistHandle d = env.registry().intern(
           dom_, *spec.initial, spec.to ? *spec.to : env.whole());
       check_range(d->type());
-      apply_distribution(std::move(d), false);
+      install_distribution(std::move(d));
     }
   }
 
@@ -422,7 +382,7 @@ class DistArray final : public DistArrayBase {
     ghost_hi_ = nhi;
     halo_ = std::move(nh);
     rebuild_storage_shape();
-    local_.assign(static_cast<std::size_t>(alloc_total_), T{});
+    reset_storage();
     if (!layout_.member || layout_.total == 0) return;
     const int r = dom_.rank();
     std::array<dist::Index, dist::kMaxRank> pos{};
@@ -458,77 +418,12 @@ class DistArray final : public DistArrayBase {
     return g;
   }
 
-  void apply_distribution(dist::DistHandle nd, bool transfer) override {
-    if (!transfer) {
-      set_distribution(std::move(nd));
-      rebuild_storage_shape();
-      local_.assign(static_cast<std::size_t>(alloc_total_), T{});
-      return;
-    }
-    redistribute_data(std::move(nd));
+  std::byte* storage_bytes() noexcept override {
+    return reinterpret_cast<std::byte*>(local_.data());
   }
 
-  void adopt_descriptor(dist::DistHandle nd) override {
-    // Mapping-equivalent swap: same owned sets, same local ordering and
-    // sizes; only the descriptor (and the per-dimension addressing
-    // representation) changes.
-    set_distribution(std::move(nd));
-    rebuild_storage_shape();
-  }
-
-  // ---- DISTRIBUTE data motion (Section 3.2.2) -----------------------------
-
-  /// The data-motion core of DISTRIBUTE: both sides enumerate their
-  /// (old/new) owned sets in global column-major order; the
-  /// per-(sender,receiver) subsequences agree, so no index lists travel --
-  /// only values, at most one message per processor pair.  The enumeration
-  /// itself is factored into a cached RedistPlan of contiguous runs; data
-  /// moves with memcpy through the array's persistent exchange scratch,
-  /// and the exchange skips the count collective because the plan knows
-  /// both sides' counts.  A replayed flip (cached plan, warmed scratch,
-  /// storage capacity settled) performs no heap allocation.
-  void redistribute_data(dist::DistHandle ndp) {
-    auto& ctx = env_->comm();
-    // Keep the old distribution alive through the unpack phase (the
-    // descriptor swap below releases this array's reference to it).
-    const dist::DistHandle odp = dist_;
-
-    const std::shared_ptr<const RedistPlan> plan = redist_plan_for(ndp);
-
-    // ---- pack: one memcpy per run into exactly-sized scratch buffers ----
-    msg::ExchangeLane& lane = exch_scratch_.lane(sizeof(T));
-    lane.prepare(plan->send_counts, plan->recv_counts);
-    const std::span<std::size_t> cur = lane.cursors();
-    const T* src = local_.data();
-    for (const RedistPlan::Run& run : plan->pack_runs) {
-      const auto peer = static_cast<std::size_t>(run.peer);
-      std::memcpy(lane.send<T>(run.peer).data() + cur[peer],
-                  src + run.offset, run.length * sizeof(T));
-      cur[peer] += run.length;
-    }
-
-    // Tag the exchange with the (old, new) distribution pair: a
-    // lockstep-armed run reports WHICH flip diverged, not just that one
-    // did.  Structural fingerprints, not registry uids: which interns a
-    // sweep reclaims depends on each rank's cache contents, so the uid of
-    // a re-interned descriptor may differ from rank to rank.
-    ctx.lockstep_note(msg::mix64(odp->fingerprint()) ^ ndp->fingerprint());
-    ctx.alltoallv_known_into(lane);
-
-    // ---- install the new distribution and unpack ------------------------
-    // assign() reuses local_'s capacity: once a flip loop has seen its
-    // largest shape, the reallocation below disappears too.
-    set_distribution(std::move(ndp));
-    rebuild_storage_shape();
+  void reset_storage() override {
     local_.assign(static_cast<std::size_t>(alloc_total_), T{});
-    std::fill(cur.begin(), cur.end(), std::size_t{0});
-    T* dst = local_.data();
-    for (const RedistPlan::Run& run : plan->unpack_runs) {
-      const auto peer = static_cast<std::size_t>(run.peer);
-      std::memcpy(dst + run.offset, lane.recv<T>(run.peer).data() + cur[peer],
-                  run.length * sizeof(T));
-      cur[peer] += run.length;
-    }
   }
 
   // ---- split-phase traversal helpers --------------------------------------
@@ -607,88 +502,5 @@ class DistArray final : public DistArrayBase {
 
   std::vector<T> local_;
 };
-
-template <typename T>
-void DistArray<T>::exchange_overlap() {
-  check_no_exchange_in_flight("exchange_overlap");
-  begin_exchange_overlap();
-  end_exchange_overlap();
-}
-
-template <typename T>
-void DistArray<T>::begin_exchange_overlap() {
-  check_no_exchange_in_flight("begin_exchange_overlap");
-  // Plan resolution handles both declaration forms: uniform specs go
-  // straight to the (DistHandle, HaloSpec) keyed cache with no extra
-  // collective; asymmetric specs reconcile the per-rank family first (one
-  // lazy allgather) and key on it unless it turned out uniform.
-  const std::shared_ptr<const halo::HaloPlan> plan = lookup_halo_plan();
-
-  // Executor, send half: one memcpy per run into exactly-sized buffers,
-  // then hand the lane to the active transport.  Buffers and cursors live
-  // in the array's shared exchange scratch (the same facility DISTRIBUTE
-  // replay uses): a repeat exchange performs no heap allocation on either
-  // side.
-  msg::ExchangeLane& lane = exch_scratch_.lane(sizeof(T));
-  lane.prepare(plan->send_counts, plan->recv_counts);
-  const std::span<std::size_t> cur = lane.cursors();
-  const T* src = local_.data();
-  for (const halo::HaloPlan::Run& run : plan->pack_runs) {
-    const auto peer = static_cast<std::size_t>(run.peer);
-    std::memcpy(lane.send<T>(run.peer).data() + cur[peer], src + run.offset,
-                run.length * sizeof(T));
-    cur[peer] += run.length;
-  }
-
-  // Tag the exchange with the (array, distribution) identity so a
-  // lockstep-armed run names which array's ghost exchange diverged.  The
-  // note must be SPMD-uniform, so it folds the array NAME, not the halo
-  // spec uid (asymmetric declarations give every rank a legitimately
-  // different local spec), and the descriptor's fingerprint, not its uid
-  // (see redistribute_data).
-  std::uint64_t note =
-      msg::mix64(distribution().fingerprint() ^ 0x9e3779b97f4a7c15ULL);
-  for (const char c : name_) {
-    note = msg::mix64(note ^ static_cast<unsigned char>(c));
-  }
-  env_->comm().lockstep_note(note);
-  pending_exchange_tag_ = env_->comm().begin_exchange(lane);
-  pending_halo_plan_ = plan;
-  exchange_in_flight_ = true;
-}
-
-template <typename T>
-void DistArray<T>::end_exchange_overlap() {
-  if (!exchange_in_flight_) throw NoExchangeInFlightError(name_);
-  const std::shared_ptr<const halo::HaloPlan> plan =
-      std::move(pending_halo_plan_);
-  msg::ExchangeLane& lane = exch_scratch_.lane(sizeof(T));
-  T* dst = local_.data();
-  // Executor, receive half: scatter each arriving payload straight into
-  // the ghost planes, peer by peer, via the plan's grouped unpack runs.
-  // Under the shared-memory transport `bytes` aliases the PEER's packed
-  // send buffer -- the whole transfer is pack memcpy + this scatter, no
-  // intermediate frame; under the mailbox transport it is this lane's
-  // already-filled recv buffer.  Within one peer the runs advance a
-  // cursor in block order, consuming the payload in exactly the order the
-  // peer packed it.
-  env_->comm().end_exchange(
-      lane, pending_exchange_tag_,
-      [&](int peer, std::span<const std::byte> bytes) {
-        const T* in = reinterpret_cast<const T*>(bytes.data());
-        std::size_t cursor = 0;
-        for (const halo::HaloPlan::PeerRuns& g : plan->unpack_peers) {
-          if (g.peer != peer) continue;
-          for (std::uint32_t k = g.begin; k < g.end; ++k) {
-            const halo::HaloPlan::Run& run = plan->unpack_runs[k];
-            std::memcpy(dst + run.offset, in + cursor,
-                        run.length * sizeof(T));
-            cursor += run.length;
-          }
-        }
-      });
-  exchange_in_flight_ = false;
-  pending_exchange_tag_ = 0;
-}
 
 }  // namespace vf::rt

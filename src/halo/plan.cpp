@@ -27,7 +27,7 @@ int neighbour_coord(const dist::DimMap& m, int c, int step) {
 /// distribution: every ghosted dimension must be contiguous for every
 /// member, and no rank may request a ghost wider than the segment its
 /// neighbour actually owns (the uniform path clips instead -- see
-/// HaloPlan::build_family's contract).
+/// build_family_plan's contract).
 ///
 /// The family is replicated, so these throws are normally rank-symmetric
 /// -- but they no longer have to be: a rank that swallows the error (or
@@ -88,23 +88,20 @@ void validate_family(const dist::Distribution& d, const HaloFamily& fam,
 /// ANY rank's spec has non-zero widths -- a rank with an empty local spec
 /// must still walk the direction loop to serve its neighbours.
 template <typename SpecOf>
-HaloPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
-                    SpecOf&& spec_of, bool any_remote_ghost, int me, int np) {
+msg::RunPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
+                        SpecOf&& spec_of, bool any_remote_ghost, int me,
+                        int np) {
   g_builds.fetch_add(1, std::memory_order_relaxed);
-  HaloPlan plan;
-  plan.send_counts.assign(static_cast<std::size_t>(np), 0);
-  plan.recv_counts.assign(static_cast<std::size_t>(np), 0);
+  msg::RunPlanBuilder plan{.np = np};
 
   const int r = d.domain().rank();
-  plan.interior_lo = dist::IndexVec::filled(r, 0);
-  plan.interior_hi = dist::IndexVec::filled(r, 0);
   const HaloSpec& spec = mine;
   if (spec.rank() != 0 && spec.rank() != r) {
     throw std::invalid_argument(
         "HaloPlan: spec rank does not match the distribution");
   }
   const dist::LocalLayout L = d.layout_for(me);
-  if (!L.member || L.total == 0) return plan;
+  if (!L.member || L.total == 0) return plan.finish();
 
   // Ghost widths and the ghost-padded column-major storage geometry this
   // plan's offsets address (the same shape DistArrayBase allocates).
@@ -129,10 +126,8 @@ HaloPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
     stride[static_cast<std::size_t>(dd)] = total_alloc;
     total_alloc *= L.counts[dd] + glo[static_cast<std::size_t>(dd)] +
                    ghi[static_cast<std::size_t>(dd)];
-    plan.interior_lo[dd] = glo[static_cast<std::size_t>(dd)];
-    plan.interior_hi[dd] = ghi[static_cast<std::size_t>(dd)];
   }
-  if (!any_ghost && !any_remote_ghost) return plan;
+  if (!any_ghost && !any_remote_ghost) return plan.finish();
 
   const dist::RankAffine& affine = d.rank_affine();
   const auto rank_of = [&](const std::array<int, kMaxRank>& coords) {
@@ -151,12 +146,7 @@ HaloPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
   // agree and only values travel.
   const auto emit = [&](const std::array<Index, kMaxRank>& from,
                         const std::array<Index, kMaxRank>& width, int peer,
-                        std::vector<HaloPlan::Run>& runs,
-                        std::vector<std::uint64_t>& counts) {
-    Index total = 1;
-    for (int dd = 0; dd < r; ++dd) total *= width[static_cast<std::size_t>(dd)];
-    counts[static_cast<std::size_t>(peer)] +=
-        static_cast<std::uint64_t>(total);
+                        msg::RunPlanBuilder::Side& runs) {
     std::array<Index, kMaxRank> pos{};
     for (;;) {
       Index off = (from[0] + glo[0]) * stride[0];
@@ -166,8 +156,8 @@ HaloPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
                 glo[static_cast<std::size_t>(e)]) *
                stride[static_cast<std::size_t>(e)];
       }
-      runs.push_back(HaloPlan::Run{static_cast<std::size_t>(off),
-                         static_cast<std::size_t>(width[0]), peer});
+      runs.add(peer, static_cast<std::size_t>(off),
+               static_cast<std::size_t>(width[0]));
       int e = 1;
       for (; e < r; ++e) {
         if (++pos[static_cast<std::size_t>(e)] <
@@ -236,7 +226,7 @@ HaloPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
         }
       }
       if (valid) {
-        emit(from, width, rank_of(peer), plan.unpack_runs, plan.recv_counts);
+        emit(from, width, rank_of(peer), plan.unpack);
       }
     }
 
@@ -288,52 +278,35 @@ HaloPlan build_impl(const dist::Distribution& d, const HaloSpec& mine,
           width[ud] = w;
         }
         if (valid) {
-          emit(from, width, peer_rank, plan.pack_runs, plan.send_counts);
+          emit(from, width, peer_rank, plan.pack);
         }
       }
     }
   } while (advance());
 
-  // Group unpack_runs into contiguous same-peer blocks.  The direction
-  // walk emits each region's runs back to back, and distinct directions
-  // name distinct peers, so one block per (direction, peer) pair results;
-  // consumers scatter one peer's payload by walking every block with that
-  // peer (corners make several blocks per peer).
-  for (std::size_t i = 0; i < plan.unpack_runs.size();) {
-    std::size_t j = i;
-    while (j < plan.unpack_runs.size() &&
-           plan.unpack_runs[j].peer == plan.unpack_runs[i].peer) {
-      ++j;
-    }
-    plan.unpack_peers.push_back(HaloPlan::PeerRuns{
-        plan.unpack_runs[i].peer, static_cast<std::uint32_t>(i),
-        static_cast<std::uint32_t>(j)});
-    i = j;
-  }
-
-  return plan;
+  return plan.finish();
 }
 
 }  // namespace
 
-std::uint64_t HaloPlan::builds() noexcept {
+std::uint64_t plan_builds() noexcept {
   return g_builds.load(std::memory_order_relaxed);
 }
 
-HaloPlan HaloPlan::build(const dist::Distribution& d, const HaloSpec& spec,
-                         int me, int np) {
+msg::RunPlan build_plan(const dist::Distribution& d, const HaloSpec& spec,
+                        int me, int np) {
   return build_impl(
       d, spec, [&](int) -> const HaloSpec& { return spec; },
       /*any_remote_ghost=*/!spec.empty(), me, np);
 }
 
-HaloPlan HaloPlan::build_family(const dist::Distribution& d,
-                                const HaloFamily& fam, int me, int np) {
+msg::RunPlan build_family_plan(const dist::Distribution& d,
+                               const HaloFamily& fam, int me, int np) {
   if (fam.nprocs() != np) {
     throw std::invalid_argument(
         "HaloPlan: family member count does not match the machine size");
   }
-  if (fam.uniform()) return build(d, fam.spec_of(me), me, np);
+  if (fam.uniform()) return build_plan(d, fam.spec_of(me), me, np);
   validate_family(d, fam, np);
   return build_impl(
       d, fam.spec_of(me),
@@ -374,7 +347,7 @@ std::size_t HaloPlanCache::sweep(
   });
 }
 
-std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
+std::shared_ptr<const msg::RunPlan> HaloPlanCache::lookup_or_build(
     const dist::DistHandle& d, const HaloHandle& h, int me, int np) {
   if (!d || !h) {
     throw std::invalid_argument(
@@ -384,8 +357,7 @@ std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
   if (cacheable) {
     if (const Entry* e = cache_.find(key_of(d, h))) return e->plan;
   }
-  auto plan =
-      std::make_shared<const HaloPlan>(HaloPlan::build(*d, *h, me, np));
+  auto plan = std::make_shared<const msg::RunPlan>(build_plan(*d, *h, me, np));
   if (cacheable) {
     cache_.insert(key_of(d, h), Entry{d, h, FamilyHandle{}, plan},
                   sizeof(Entry) + plan->footprint_bytes());
@@ -393,7 +365,7 @@ std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
   return plan;
 }
 
-std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
+std::shared_ptr<const msg::RunPlan> HaloPlanCache::lookup_or_build(
     const dist::DistHandle& d, const FamilyHandle& f, int me, int np) {
   if (!d || !f) {
     throw std::invalid_argument(
@@ -403,8 +375,8 @@ std::shared_ptr<const HaloPlan> HaloPlanCache::lookup_or_build(
   if (cacheable) {
     if (const Entry* e = cache_.find(key_of(d, f))) return e->plan;
   }
-  auto plan = std::make_shared<const HaloPlan>(
-      HaloPlan::build_family(*d, *f, me, np));
+  auto plan = std::make_shared<const msg::RunPlan>(
+      build_family_plan(*d, *f, me, np));
   if (cacheable) {
     cache_.insert(key_of(d, f), Entry{d, HaloHandle{}, f, plan},
                   sizeof(Entry) + plan->footprint_bytes());

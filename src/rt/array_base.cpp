@@ -6,6 +6,7 @@
 #include "vf/dist/skew.hpp"
 #include "vf/halo/exchange.hpp"
 #include "vf/halo/plan.hpp"
+#include "vf/msg/context.hpp"
 
 namespace vf::rt {
 
@@ -207,12 +208,6 @@ void DistArrayBase::throw_halo_bounds() const {
   throw std::out_of_range("halo access outside overlap area of " + name_);
 }
 
-DistArrayBase::SplitMargins DistArrayBase::split_margins() {
-  const std::shared_ptr<const halo::HaloPlan> plan =
-      exchange_in_flight_ ? pending_halo_plan_ : lookup_halo_plan();
-  return SplitMargins{plan->interior_lo, plan->interior_hi};
-}
-
 bool DistArrayBase::owned_partition(const SplitMargins* m,
                                     OwnedPartition& p) const {
   if (!dist_) throw NotDistributedError(name_);
@@ -260,7 +255,7 @@ void DistArrayBase::check_distribute_legal(const NoTransfer& nt) const {
   }
 }
 
-std::shared_ptr<const halo::HaloPlan> DistArrayBase::lookup_halo_plan() {
+std::shared_ptr<const msg::RunPlan> DistArrayBase::lookup_halo_plan() {
   if (!dist_) throw NotDistributedError(name_);
   const int me = env_->rank();
   const int np = env_->nprocs();
@@ -290,14 +285,14 @@ void DistArrayBase::sweep_caches() {
   });
 }
 
-std::shared_ptr<const RedistPlan> DistArrayBase::redist_plan_for(
+std::shared_ptr<const msg::RunPlan> DistArrayBase::redist_plan_for(
     const dist::DistHandle& nd) {
   const bool cacheable = dist_.interned() && nd.interned();
   const std::uint64_t key = plan_key(dist_, nd);
   if (cacheable) {
     if (const PlanEntry* e = redist_plans_.find(key)) return e->plan;
   }
-  auto plan = std::make_shared<const RedistPlan>(RedistPlan::build(
+  auto plan = std::make_shared<const msg::RunPlan>(build_redist_plan(
       *dist_, *nd, env_->rank(), env_->nprocs(), ghost_lo_, ghost_hi_));
   if (cacheable) {
     const std::size_t bytes = sizeof(PlanEntry) + plan->footprint_bytes();
@@ -354,17 +349,8 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
 
   // Primary: move data unless this is the first distribution or a no-op
   // (equivalent mappings still swap descriptors so queries see the
-  // requested type).  A cached plan for the (old, new) handle pair
-  // already proves the mappings differ, so the O(N) comparison is skipped
-  // on planned flips.
-  const bool first = dist_ == nullptr;
-  if (!first && redist_plans_.contains(plan_key(dist_, nd))) {
-    apply_distribution(nd, true);
-  } else if (!first && dist_->same_mapping(*nd)) {
-    adopt_descriptor(nd);
-  } else {
-    apply_distribution(nd, !first);
-  }
+  // requested type).
+  switch_distribution(std::move(nd), dist_ != nullptr);
 
   // Steps 2+3: determine the distributions of connected arrays and
   // communicate.
@@ -376,17 +362,116 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
     }
     DistArrayBase* a = m.array;
     if (a->dist_ == sd) continue;
-    const bool transfer = a->dist_ != nullptr && !nt.contains(a);
-    if (transfer && a->redist_plans_.contains(plan_key(a->dist_, sd))) {
-      a->apply_distribution(sd, true);
-      continue;
-    }
-    if (a->dist_ && a->dist_->same_mapping(*sd)) {
-      a->adopt_descriptor(sd);
-      continue;
-    }
-    a->apply_distribution(sd, transfer);
+    a->switch_distribution(std::move(sd),
+                           a->dist_ != nullptr && !nt.contains(a));
   }
+}
+
+void DistArrayBase::switch_distribution(dist::DistHandle nd, bool transfer) {
+  // A cached plan for the (old, new) handle pair already proves the
+  // mappings differ, so the O(N) comparison is skipped on planned flips.
+  if (transfer && redist_plans_.contains(plan_key(dist_, nd))) {
+    redistribute_data(std::move(nd));
+  } else if (dist_ && dist_->same_mapping(*nd)) {
+    install_distribution(std::move(nd), /*keep_storage=*/true);
+  } else if (transfer) {
+    redistribute_data(std::move(nd));
+  } else {
+    install_distribution(std::move(nd));
+  }
+}
+
+void DistArrayBase::install_distribution(dist::DistHandle nd,
+                                         bool keep_storage) {
+  dist_ = std::move(nd);
+  layout_ = dist_->layout_for(env_->rank());
+  rebuild_storage_shape();
+  if (!keep_storage) reset_storage();
+}
+
+void DistArrayBase::redistribute_data(dist::DistHandle nd) {
+  // Only values travel, at most one message per processor pair, with no
+  // count collective (the plan knows both sides' counts).  A replayed
+  // flip (cached plan, warmed scratch, storage capacity settled) performs
+  // no heap allocation.
+  auto& ctx = env_->comm();
+  const std::shared_ptr<const msg::RunPlan> plan = redist_plan_for(nd);
+  const std::size_t elem = element_size();
+  msg::ExchangeLane& lane = exch_scratch_.lane(elem);
+  msg::pack(*plan, storage_bytes(), lane);
+
+  // Tag the exchange with the (old, new) distribution pair: a
+  // lockstep-armed run reports WHICH flip diverged, not just that one
+  // did.  Structural fingerprints, not registry uids: which interns a
+  // sweep reclaims depends on each rank's cache contents, so the uid of
+  // a re-interned descriptor may differ from rank to rank.
+  ctx.lockstep_note(msg::mix64(dist_->fingerprint()) ^ nd->fingerprint());
+  ctx.alltoallv_known_into(lane);
+
+  // Install the new distribution only now, then unpack.
+  install_distribution(std::move(nd));
+  std::byte* dst = storage_bytes();
+  for (int p = 0; p < lane.peers(); ++p) {
+    msg::unpack(*plan, p, lane.recv_bytes(p), dst, elem);
+  }
+}
+
+void DistArrayBase::exchange_overlap() {
+  check_no_exchange_in_flight("exchange_overlap");
+  begin_exchange_overlap();
+  end_exchange_overlap();
+}
+
+void DistArrayBase::begin_exchange_overlap() {
+  check_no_exchange_in_flight("begin_exchange_overlap");
+  // Plan resolution handles both declaration forms: uniform specs go
+  // straight to the (DistHandle, HaloSpec) keyed cache with no extra
+  // collective; asymmetric specs reconcile the per-rank family first (one
+  // lazy allgather) and key on it unless it turned out uniform.
+  std::shared_ptr<const msg::RunPlan> plan = lookup_halo_plan();
+
+  // Send half: pack into the array's exchange scratch (the same lane
+  // DISTRIBUTE replay uses, so a repeat exchange performs no heap
+  // allocation), then hand the lane to the active transport.
+  msg::ExchangeLane& lane = exch_scratch_.lane(element_size());
+  msg::pack(*plan, storage_bytes(), lane);
+
+  // Tag the exchange with the (array, distribution) identity so a
+  // lockstep-armed run names which array's ghost exchange diverged.  The
+  // note must be SPMD-uniform, so it folds the array NAME, not the halo
+  // spec uid (asymmetric declarations give every rank a legitimately
+  // different local spec), and the descriptor's fingerprint, not its uid
+  // (see redistribute_data).
+  std::uint64_t note =
+      msg::mix64(distribution().fingerprint() ^ 0x9e3779b97f4a7c15ULL);
+  for (const char c : name_) {
+    note = msg::mix64(note ^ static_cast<unsigned char>(c));
+  }
+  env_->comm().lockstep_note(note);
+  pending_exchange_tag_ = env_->comm().begin_exchange(lane);
+  pending_halo_plan_ = std::move(plan);
+  exchange_in_flight_ = true;
+}
+
+void DistArrayBase::end_exchange_overlap() {
+  if (!exchange_in_flight_) throw NoExchangeInFlightError(name_);
+  const std::shared_ptr<const msg::RunPlan> plan =
+      std::move(pending_halo_plan_);
+  const std::size_t elem = element_size();
+  msg::ExchangeLane& lane = exch_scratch_.lane(elem);
+  std::byte* dst = storage_bytes();
+  // Receive half: scatter each arriving payload straight into the ghost
+  // planes along that peer's unpack runs.  Under the shared-memory
+  // transport `bytes` aliases the PEER's packed send buffer -- the whole
+  // transfer is pack memcpy + this scatter, no intermediate frame; under
+  // the mailbox transport it is this lane's already-filled recv buffer.
+  env_->comm().end_exchange(
+      lane, pending_exchange_tag_,
+      [&](int peer, std::span<const std::byte> bytes) {
+        msg::unpack(*plan, peer, bytes, dst, elem);
+      });
+  exchange_in_flight_ = false;
+  pending_exchange_tag_ = 0;
 }
 
 dist::DistHandle DistArrayBase::maybe_hybridize(dist::DistHandle nd) {

@@ -14,12 +14,10 @@ using dist::kMaxRank;
 /// whose data occupies local storage (old for packing, new for unpacking),
 /// `other` is the distribution determining the peer rank of each element.
 /// Runs are produced in global column-major enumeration order over this
-/// rank's owned set, split wherever the peer changes; counts[peer]
-/// accumulates exact element totals (the counting pass).
+/// rank's owned set, split wherever the peer changes.
 void build_side(const dist::Distribution& mine, const dist::Distribution& other,
                 int me, const IndexVec& ghost_lo, const IndexVec& ghost_hi,
-                std::vector<RedistPlan::Run>& runs,
-                std::vector<std::uint64_t>& counts) {
+                msg::RunPlanBuilder::Side& runs) {
   const dist::LocalLayout L = mine.layout_for(me);
   if (!L.member || L.total == 0) return;
   const int r = mine.domain().rank();
@@ -82,14 +80,11 @@ void build_side(const dist::Distribution& mine, const dist::Distribution& other,
       outer_rank += rank_c[static_cast<std::size_t>(d)][p];
     }
     for (const InnerRun& ir : inner) {
-      const int peer = static_cast<int>(outer_rank + ir.contrib);
-      runs.push_back(RedistPlan::Run{
-          static_cast<std::size_t>(outer_off +
-                                   (ir.start_local + ghost_lo[0]) *
-                                       strides[0]),
-          static_cast<std::size_t>(ir.len), peer});
-      counts[static_cast<std::size_t>(peer)] +=
-          static_cast<std::uint64_t>(ir.len);
+      runs.add(static_cast<int>(outer_rank + ir.contrib),
+               static_cast<std::size_t>(outer_off +
+                                        (ir.start_local + ghost_lo[0]) *
+                                            strides[0]),
+               static_cast<std::size_t>(ir.len));
     }
     int d = 1;
     for (; d < r; ++d) {
@@ -103,18 +98,14 @@ void build_side(const dist::Distribution& mine, const dist::Distribution& other,
 
 }  // namespace
 
-RedistPlan RedistPlan::build(const dist::Distribution& od,
-                             const dist::Distribution& nd, int me, int np,
-                             const dist::IndexVec& ghost_lo,
-                             const dist::IndexVec& ghost_hi) {
-  RedistPlan plan;
-  plan.send_counts.assign(static_cast<std::size_t>(np), 0);
-  plan.recv_counts.assign(static_cast<std::size_t>(np), 0);
-  build_side(od, nd, me, ghost_lo, ghost_hi, plan.pack_runs,
-             plan.send_counts);
-  build_side(nd, od, me, ghost_lo, ghost_hi, plan.unpack_runs,
-             plan.recv_counts);
-  return plan;
+msg::RunPlan build_redist_plan(const dist::Distribution& od,
+                               const dist::Distribution& nd, int me, int np,
+                               const dist::IndexVec& ghost_lo,
+                               const dist::IndexVec& ghost_hi) {
+  msg::RunPlanBuilder b{.np = np};
+  build_side(od, nd, me, ghost_lo, ghost_hi, b.pack);
+  build_side(nd, od, me, ghost_lo, ghost_hi, b.unpack);
+  return b.finish();
 }
 
 }  // namespace vf::rt

@@ -352,6 +352,49 @@ TEST(Failure, AsymmetricGhostWiderThanNeighbourSegmentThrows) {
 
 // ---- abort-fence containment: rank-local failures no longer deadlock ------
 
+/// A DISTRIBUTE aborted inside its exchange must leave the old state too:
+/// the new distribution and storage are installed only after the exchange
+/// completes.  Rank 0 aborts instead of distributing; every peer expects
+/// values from rank 0 under the BLOCK -> CYCLIC(1) flip, so each one's
+/// exchange wakes with the RankAbort before anything is installed.
+TEST(Failure, ArrayStateSurvivesAbortMidDistribute) {
+  msg::Machine m(4);
+  SpmdChecker ck;
+  try {
+    msg::run_spmd(m, [&](Context& ctx) {
+      Env env(ctx);
+      DistArray<double> a(env, {.name = "A",
+                                .domain = IndexDomain::of_extents({16}),
+                                .dynamic = true,
+                                .initial = DistributionType{block()}});
+      a.init([](const dist::IndexVec& i) { return 1.0 * i[0]; });
+      const dist::DistHandle before = a.dist_handle();
+      ctx.barrier();
+      if (ctx.rank() == 0) ctx.abort("rank 0 abandons the flip");
+      try {
+        a.distribute(DistributionType{cyclic(1)});
+        ck.fail("rank " + std::to_string(ctx.rank()) +
+                ": DISTRIBUTE completed without rank 0");
+      } catch (const msg::RankAbort& e) {
+        ck.check_eq(e.origin_rank, 0, ctx.rank(), "abort origin");
+      }
+      ck.check(a.dist_handle() == before, ctx.rank(), "old descriptor kept");
+      ck.check_eq(a.distribution().type().dim(0).kind,
+                  dist::DimDistKind::Block, ctx.rank(), "still BLOCK");
+      std::size_t owned = 0;
+      a.for_owned([&](const dist::IndexVec& i, double& v) {
+        ck.check_eq(v, 1.0 * i[0], ctx.rank(), "owned value intact");
+        ++owned;
+      });
+      ck.check_eq(owned, std::size_t{4}, ctx.rank(), "old owned block");
+    });
+    FAIL() << "expected RankAbort";
+  } catch (const msg::RankAbort& e) {
+    EXPECT_EQ(e.origin_rank, 0);
+  }
+  ck.expect_clean();
+}
+
 /// A single rank throwing out of its body (while every peer sits in a
 /// collective) used to deadlock the machine; the fence now wakes the peers
 /// with RankAbort and run_spmd rethrows the origin's ORIGINAL error type.

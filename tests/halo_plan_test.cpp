@@ -5,6 +5,12 @@
 // distribution is a pure cache hit that rebuilds no index lists.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
+#include "halo_fuzz_util.hpp"
+#include "run_plan_util.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/halo/exchange.hpp"
 #include "vf/halo/plan.hpp"
@@ -49,7 +55,7 @@ TEST(HaloSpec, ValidationRejectsBadWidths) {
 
 /// Satellite: repeat exchanges must be allocation-free on the planning
 /// path -- the second exchange_overlap is a cache hit that invokes
-/// HaloPlan::build zero times (no send/recv index-list rebuild).
+/// halo::build_plan zero times (no send/recv index-list rebuild).
 TEST(HaloPlanCache, RepeatExchangeDoesNotRebuildPlans) {
   constexpr int kP = 4;
   run_checked(kP, [](Context& ctx, SpmdChecker& ck) {
@@ -65,7 +71,7 @@ TEST(HaloPlanCache, RepeatExchangeDoesNotRebuildPlans) {
     // Barrier-bracketed snapshot: every rank captures the process-wide
     // build counter before any rank can reach its first exchange.
     ctx.barrier();
-    const std::uint64_t builds0 = halo::HaloPlan::builds();
+    const std::uint64_t builds0 = halo::plan_builds();
     ctx.barrier();
     a.exchange_overlap();
     const auto& st = env.halo_plans().stats();
@@ -81,7 +87,7 @@ TEST(HaloPlanCache, RepeatExchangeDoesNotRebuildPlans) {
     ctx.barrier();
     if (ctx.rank() == 0) {
       // Machine-wide: kP builds total, all from the first exchange.
-      ck.check_eq(halo::HaloPlan::builds() - builds0,
+      ck.check_eq(halo::plan_builds() - builds0,
                   std::uint64_t{kP}, 0, "one build per rank, ever");
     }
     // Values are still exchanged correctly on the replayed plan.
@@ -398,6 +404,95 @@ TEST(HaloPlanCache, UniformFamilyHitsPrePRKey) {
   // The process-wide counter agrees: one reconcile per rank for B, none
   // for A, across the whole machine run.
   EXPECT_EQ(halo::spec_exchanges() - global_before, 2u);
+}
+
+/// Plan-format invariants of the halo builders over seeded distributions
+/// and specs (uniform with clipping, asymmetric families, corners): CSR
+/// form, per-peer counts, runs inside the allocation, unpack runs filling
+/// each filled ghost cell exactly once and never an owned cell, pack runs
+/// reading owned cells only, and both ends of every transfer agreeing on
+/// its size.
+TEST(HaloPlanFormat, UnpackRunsFillEachGhostCellOnce) {
+  int asymmetric_cases = 0;
+  int corner_cases = 0;
+  for (const testing::FuzzConfig& cfg : testing::kFuzzConfigs) {
+    const int np = cfg.nprocs;
+    const dist::ProcessorSection sec(
+        cfg.grid ? dist::ProcessorArray::grid(cfg.q0, cfg.q1)
+                 : dist::ProcessorArray::line(np));
+    for (unsigned seed = 1; seed <= 12; ++seed) {
+      for (const bool asymmetric : {false, true}) {
+        std::mt19937 rng(seed);
+        const dist::Index n0 = 2 + static_cast<dist::Index>(rng() % 9);
+        const dist::Index n1 = 2 + static_cast<dist::Index>(rng() % 9);
+        dist::DistRegistry reg;
+        const dist::DistHandle d =
+            reg.intern(IndexDomain::of_extents({n0, n1}),
+                       testing::random_dist(rng, cfg, n0, n1), sec);
+        const std::vector<testing::RankSpec> specs =
+            testing::draw_specs(rng, np, asymmetric, *d);
+        if (asymmetric && !testing::specs_valid(specs, *d, np)) continue;
+        std::vector<halo::HaloHandle> hs;
+        for (const testing::RankSpec& s : specs) {
+          hs.push_back(reg.intern(halo::HaloSpec(s.lo, s.hi, s.corners)));
+        }
+        const halo::HaloFamily fam(hs);
+        asymmetric_cases += asymmetric && !fam.uniform();
+        corner_cases += specs[0].corners;
+        const std::string tag = std::string(cfg.name) + " seed " +
+                                std::to_string(seed) +
+                                (asymmetric ? " asymmetric" : " uniform");
+        std::vector<msg::RunPlan> plans;
+        for (int me = 0; me < np; ++me) {
+          plans.push_back(asymmetric
+                              ? halo::build_family_plan(*d, fam, me, np)
+                              : halo::build_plan(*d, *hs[0], me, np));
+        }
+        for (int me = 0; me < np; ++me) {
+          const msg::RunPlan& plan = plans[static_cast<std::size_t>(me)];
+          const testing::RankSpec& mine = specs[static_cast<std::size_t>(me)];
+          const std::string at = tag + " rank " + std::to_string(me);
+          testing::expect_csr_form(plan, np, at);
+          const testing::StorageShape shape =
+              testing::storage_shape(*d, me, mine.lo, mine.hi);
+          const std::vector<int> in =
+              testing::coverage(plan.unpack, shape.total, at + " unpack");
+          const std::vector<int> out =
+              testing::coverage(plan.pack, shape.total, at + " pack");
+          if (shape.total == 0) continue;
+          const testing::Fill fill =
+              testing::expected_fill(mine, *d, d->layout_for(me));
+          testing::for_each_slot(shape, [&](const auto& pos, bool owned,
+                                            std::size_t off) {
+            if (owned) {
+              EXPECT_EQ(in[off], 0) << at << " owned slot " << off;
+              return;
+            }
+            EXPECT_EQ(out[off], 0) << at << " ghost slot packed " << off;
+            bool reach = true;
+            int ghost_dims = 0;
+            for (std::size_t k = 0; k < 2; ++k) {
+              if (pos[k] < 0) {
+                reach = reach && -pos[k] <= fill.lo[k];
+              } else if (pos[k] >= shape.counts[k]) {
+                reach = reach && pos[k] - shape.counts[k] < fill.hi[k];
+              } else {
+                continue;
+              }
+              ++ghost_dims;
+            }
+            const bool filled = reach && (ghost_dims == 1 || mine.corners);
+            EXPECT_EQ(in[off], filled ? 1 : 0)
+                << at << " ghost slot " << off
+                << (filled ? " (filled)" : " (unfilled)");
+          });
+        }
+        testing::expect_counts_agree(plans, tag);
+      }
+    }
+  }
+  EXPECT_GT(asymmetric_cases, 0);
+  EXPECT_GT(corner_cases, 0);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 // collective (the value all-to-all) with zero control messages.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
+#include "halo_fuzz_util.hpp"
+#include "run_plan_util.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/rt/dist_array.hpp"
 
@@ -174,6 +177,104 @@ TEST(RedistPlanCache, GhostPaddedStorageRedistributesCorrectly) {
                   "ghost value after redistribute");
     }
   });
+}
+
+/// Any per-dimension distribution over `q` coordinates: BLOCK/S_BLOCK
+/// (the halo fuzz generator), CYCLIC(k) or INDIRECT.
+dist::DimDist random_dim(std::mt19937& rng, Index extent, int q) {
+  switch (rng() % 3) {
+    case 0:
+      return testing::random_contiguous(rng, extent, q);
+    case 1:
+      return cyclic(1 + static_cast<Index>(rng() % 3));
+    default: {
+      std::vector<int> owners(static_cast<std::size_t>(extent));
+      for (auto& o : owners) o = static_cast<int>(rng() % q);
+      return dist::indirect(std::move(owners));
+    }
+  }
+}
+
+DistributionType random_type(std::mt19937& rng, const testing::FuzzConfig& cfg,
+                             Index n0, Index n1) {
+  if (cfg.grid) {
+    return DistributionType{random_dim(rng, n0, cfg.q0),
+                            random_dim(rng, n1, cfg.q1)};
+  }
+  if (rng() % 2 == 0) {
+    return DistributionType{random_dim(rng, n0, cfg.nprocs), col()};
+  }
+  return DistributionType{col(), random_dim(rng, n1, cfg.nprocs)};
+}
+
+/// Plan-format invariants of the redistribution builder over seeded
+/// (old, new, ghost) triples: CSR form, per-peer counts, runs inside the
+/// allocation, each side's runs covering every owned slot of its storage
+/// exactly once and no ghost slot, and both ends of every transfer
+/// agreeing on its size.
+TEST(RedistPlanFormat, RunsCoverOwnedStorageExactlyOnce) {
+  int cyclic_or_indirect = 0;
+  int ghosted = 0;
+  for (const testing::FuzzConfig& cfg : testing::kFuzzConfigs) {
+    const int np = cfg.nprocs;
+    const dist::ProcessorSection sec(
+        cfg.grid ? dist::ProcessorArray::grid(cfg.q0, cfg.q1)
+                 : dist::ProcessorArray::line(np));
+    for (unsigned seed = 1; seed <= 16; ++seed) {
+      std::mt19937 rng(seed);
+      const Index n0 = 2 + static_cast<Index>(rng() % 11);
+      const Index n1 = 2 + static_cast<Index>(rng() % 11);
+      const IndexDomain dom = IndexDomain::of_extents({n0, n1});
+      dist::DistRegistry reg;
+      const dist::DistHandle od =
+          reg.intern(dom, random_type(rng, cfg, n0, n1), sec);
+      const dist::DistHandle nd =
+          reg.intern(dom, random_type(rng, cfg, n0, n1), sec);
+      IndexVec glo = IndexVec::filled(2, 0);
+      IndexVec ghi = IndexVec::filled(2, 0);
+      for (int k = 0; k < 2; ++k) {
+        if (od->dim_map(k).contiguous() && nd->dim_map(k).contiguous()) {
+          glo[k] = static_cast<Index>(rng() % 3);
+          ghi[k] = static_cast<Index>(rng() % 3);
+        } else {
+          ++cyclic_or_indirect;
+        }
+        ghosted += glo[k] + ghi[k] > 0;
+      }
+      const std::string tag = std::string(cfg.name) + " seed " +
+                              std::to_string(seed) + " " +
+                              od->type().to_string() + " -> " +
+                              nd->type().to_string();
+      std::vector<msg::RunPlan> plans;
+      for (int me = 0; me < np; ++me) {
+        plans.push_back(build_redist_plan(*od, *nd, me, np, glo, ghi));
+      }
+      for (int me = 0; me < np; ++me) {
+        const msg::RunPlan& plan = plans[static_cast<std::size_t>(me)];
+        const std::string at = tag + " rank " + std::to_string(me);
+        testing::expect_csr_form(plan, np, at);
+        const auto exactly_owned = [&](const dist::Distribution& d,
+                                       const std::vector<msg::RunPlan::Run>&
+                                           runs,
+                                       const char* side) {
+          const testing::StorageShape shape =
+              testing::storage_shape(d, me, glo, ghi);
+          const std::vector<int> cov =
+              testing::coverage(runs, shape.total, at + side);
+          testing::for_each_slot(shape, [&](const auto&, bool owned,
+                                            std::size_t off) {
+            EXPECT_EQ(cov[off], owned ? 1 : 0)
+                << at << side << " slot " << off;
+          });
+        };
+        exactly_owned(*od, plan.pack, " pack");
+        exactly_owned(*nd, plan.unpack, " unpack");
+      }
+      testing::expect_counts_agree(plans, tag);
+    }
+  }
+  EXPECT_GT(cyclic_or_indirect, 0);
+  EXPECT_GT(ghosted, 0);
 }
 
 }  // namespace

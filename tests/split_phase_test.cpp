@@ -279,6 +279,49 @@ TEST(SplitPhaseGuards, ConnectClassDistributeBlockedBySecondaryInFlight) {
   });
 }
 
+/// split_margins() is local: the margins are the declared ghost widths,
+/// so asking for them -- directly or through the margin-less traversal
+/// overloads -- never resolves a halo plan.  An asymmetric set_overlap
+/// leaves the reconciled family stale, which a plan lookup would have to
+/// repair with the spec-exchange collective.
+TEST(SplitPhaseGuards, SplitMarginsIsCommunicationFree) {
+  testing::run_checked(4, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    DistArray<double> a(env, {.name = "A",
+                              .domain = IndexDomain::of_extents({32}),
+                              .dynamic = true,
+                              .initial = DistributionType{block()},
+                              .overlap_lo = {1},
+                              .overlap_hi = {1},
+                              .overlap_asymmetric = true});
+    a.init([](const IndexVec& i) { return 1.0 * i[0]; });
+    a.exchange_overlap();
+    const Index w = 1 + ctx.rank() % 2;
+    a.set_overlap({w}, {1}, false, /*asymmetric=*/true);
+    ck.check(!a.halo_family(), ctx.rank(), "family stale after set_overlap");
+
+    ctx.barrier();
+    const std::uint64_t spec_exchanges = a.halo_spec_exchanges();
+    const std::uint64_t collectives = ctx.stats().collectives;
+    const std::uint64_t builds = halo::plan_builds();
+    const auto m = a.split_margins();
+    std::size_t visited = 0;
+    a.for_owned_interior([&](const IndexVec&, double&) { ++visited; });
+    a.for_owned_boundary([&](const IndexVec&, double&) { ++visited; });
+    ck.check_eq(a.halo_spec_exchanges(), spec_exchanges, ctx.rank(),
+                "no spec exchange");
+    ck.check_eq(ctx.stats().collectives, collectives, ctx.rank(),
+                "no collective");
+    ck.check_eq(halo::plan_builds(), builds, ctx.rank(), "no plan build");
+    ctx.barrier();
+
+    ck.check(m.lo == IndexVec{w} && m.hi == IndexVec{1}, ctx.rank(),
+             "margins are the declared widths");
+    ck.check_eq(visited, std::size_t{8}, ctx.rank(), "owned set partitioned");
+    ck.check(!a.halo_family(), ctx.rank(), "family still stale");
+  });
+}
+
 // ---- application paths: split-phase reproduces blocking bitwise -----------
 
 TEST(SplitPhaseApps, SmoothingMatchesBlockingBitwise) {
