@@ -10,6 +10,14 @@
 // rebuild-per-call path on wall time (CI gates warm >= 1.5x cold) and
 // must perform zero heap allocations in the exchange-scratch facility
 // (allocs_per_replay == 0 for gather, scatter and scatter_add; CI-gated).
+//
+// BM_ExecutorRowGather is the static gather-lines strategy of the Section 4
+// ADI: a (:, BLOCK) array whose rows are gathered cyclically, rank r
+// taking rows r+1, r+1+P, ..., then scattered back.  Every served row
+// crosses the owner's storage at a stride of n elements, which the
+// storage side holds as one 2-D section per peer.  It reports the replay
+// time, the steady-state allocations and the bytes one binding holds
+// (CI-gated: allocs == 0, footprint far below one offset per element).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -130,7 +138,9 @@ void BM_ExecutorReplay(benchmark::State& state) {
   std::vector<double> iter_seconds;
   std::uint64_t fence_trips = 0;
   std::uint64_t faults_injected = 0;
+  std::atomic<std::uint64_t> footprint{0};
   for (auto _ : state) {
+    footprint = 0;
     msg::Machine machine(kProcs, cm);
     if (mode == 2) {
       machine.set_recv_watchdog(std::chrono::milliseconds(30000));
@@ -164,6 +174,7 @@ void BM_ExecutorReplay(benchmark::State& state) {
                        std::chrono::steady_clock::now() - t0)
                        .count());
       }
+      footprint.fetch_add(sched.binding_footprint_bytes());
       benchmark::DoNotOptimize(out.data());
     });
     iter_seconds.push_back(secs.load());
@@ -177,6 +188,10 @@ void BM_ExecutorReplay(benchmark::State& state) {
   state.counters["watchdog_armed"] = mode == 2 ? 1 : 0;
   state.counters["fence_trips"] = static_cast<double>(fence_trips);
   state.counters["faults_injected"] = static_cast<double>(faults_injected);
+  // Bytes one rank's binding holds for the random points (mean over
+  // ranks).
+  state.counters["footprint_bytes"] =
+      static_cast<double>(footprint.load()) / kProcs;
 }
 
 /// Steady-state allocation audit of the executor replay paths: after one
@@ -230,6 +245,79 @@ void BM_ExecutorSteadyStateAllocs(benchmark::State& state) {
       static_cast<double>(grow_scatter_add.load()) / denom;
   state.counters["scratch_prepares"] =
       static_cast<double>(prepares.load());
+}
+
+constexpr Index kRowN = 512;
+
+void BM_ExecutorRowGather(benchmark::State& state) {
+  constexpr int kCalls = 16;
+  const msg::CostModel cm{};
+  state.SetLabel("executor/row_gather");
+  std::vector<double> iter_seconds;
+  std::atomic<std::uint64_t> grow_gather{0}, grow_scatter{0},
+      grow_scatter_add{0}, footprint{0};
+  for (auto _ : state) {
+    grow_gather = grow_scatter = grow_scatter_add = footprint = 0;
+    msg::Machine machine(kProcs, cm);
+    std::atomic<double> secs{0.0};
+    msg::run_spmd(machine, [&](msg::Context& ctx) {
+      rt::Env env(ctx);
+      rt::DistArray<double> a(
+          env, {.name = "V",
+                .domain = IndexDomain::of_extents({kRowN, kRowN}),
+                .initial = {{dist::col(), dist::block()}}});
+      a.init([](const IndexVec& i) {
+        return static_cast<double>(i[0] * kRowN + i[1]);
+      });
+      std::vector<IndexVec> pts;
+      for (Index i = 1 + ctx.rank(); i <= kRowN; i += ctx.nprocs()) {
+        for (Index j = 1; j <= kRowN; ++j) pts.push_back({i, j});
+      }
+      parti::Schedule sched(ctx, a.dist_handle(), pts);
+      std::vector<double> buf(pts.size());
+      sched.gather(ctx, a, buf);  // warm the binding and the scratch
+      sched.scatter(ctx, buf, a);
+      sched.scatter_add(ctx, buf, a);
+      ctx.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      ctx.barrier();
+      for (int c = 0; c < kCalls; ++c) {
+        sched.gather(ctx, a, buf);
+        sched.scatter(ctx, buf, a);
+      }
+      ctx.barrier();
+      if (ctx.rank() == 0) {
+        secs.store(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+      }
+      auto audit = [&](std::atomic<std::uint64_t>& sink, auto&& call) {
+        sched.reset_scratch_stats();
+        for (int r = 0; r < kCalls; ++r) call();
+        sink.fetch_add(sched.scratch_stats().grow_allocs);
+      };
+      audit(grow_gather, [&] { sched.gather(ctx, a, buf); });
+      audit(grow_scatter, [&] { sched.scatter(ctx, buf, a); });
+      audit(grow_scatter_add, [&] { sched.scatter_add(ctx, buf, a); });
+      footprint.fetch_add(sched.binding_footprint_bytes());
+      benchmark::DoNotOptimize(buf.data());
+    });
+    iter_seconds.push_back(secs.load());
+  }
+  std::sort(iter_seconds.begin(), iter_seconds.end());
+  const double median = iter_seconds[iter_seconds.size() / 2];
+  // One call is one gather or one scatter.
+  state.counters["ns_per_call"] = median * 1e9 / (2 * kCalls);
+  const double denom = static_cast<double>(kCalls) * kProcs;
+  state.counters["allocs_per_replay_gather"] =
+      static_cast<double>(grow_gather.load()) / denom;
+  state.counters["allocs_per_replay_scatter"] =
+      static_cast<double>(grow_scatter.load()) / denom;
+  state.counters["allocs_per_replay_scatter_add"] =
+      static_cast<double>(grow_scatter_add.load()) / denom;
+  // Bytes one rank's binding cache holds for the array (mean over ranks).
+  state.counters["footprint_bytes"] =
+      static_cast<double>(footprint.load()) / kProcs;
 }
 
 void BM_TranslationTableDereference(benchmark::State& state) {
@@ -292,3 +380,5 @@ BENCHMARK(BM_ExecutorReplay)
 BENCHMARK(BM_ExecutorSteadyStateAllocs)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
+
+BENCHMARK(BM_ExecutorRowGather)->Unit(benchmark::kMillisecond)->Iterations(5);

@@ -30,6 +30,7 @@
 
 #include "vf/msg/spmd.hpp"
 #include "vf/rt/dist_array.hpp"
+#include "vf/rt/redist_plan.hpp"
 
 namespace {
 
@@ -202,6 +203,7 @@ void BM_RedistributeFlip(benchmark::State& state) {
   std::atomic<std::uint64_t> reg_size{0};
   std::atomic<std::uint64_t> plan_hits{0};
   std::atomic<std::uint64_t> plan_misses{0};
+  std::atomic<std::uint64_t> plan_bytes{0};
   for (auto _ : state) {
     msg::Machine machine(nprocs);
     std::atomic<double> secs{0.0};
@@ -246,7 +248,9 @@ void BM_RedistributeFlip(benchmark::State& state) {
       a.fill(1.0);
       // Warmup round trip: with the cache on this builds both plans.
       a.distribute(tb);
+      const dist::DistHandle hb = a.dist_handle();
       a.distribute(ta);
+      const dist::DistHandle ha = a.dist_handle();
       // Each rank zeroes its OWN counters between two barriers: no rank
       // ever writes another rank's (non-atomic) stats concurrently.
       ctx.barrier();
@@ -266,6 +270,13 @@ void BM_RedistributeFlip(benchmark::State& state) {
         reg_size.store(env.registry().size());
         plan_hits.store(a.redist_plan_hits());
         plan_misses.store(a.redist_plan_misses());
+        const dist::IndexVec none =
+            dist::IndexVec::filled(dom.rank(), 0);
+        plan_bytes.store(
+            rt::build_redist_plan(*ha, *hb, 0, nprocs, none, none)
+                .footprint_bytes() +
+            rt::build_redist_plan(*hb, *ha, 0, nprocs, none, none)
+                .footprint_bytes());
       }
     });
     total_seconds += secs.load();
@@ -293,6 +304,10 @@ void BM_RedistributeFlip(benchmark::State& state) {
   state.counters["redist_plan_hits"] = static_cast<double>(plan_hits.load());
   state.counters["redist_plan_misses"] =
       static_cast<double>(plan_misses.load());
+  // Bytes rank 0 holds for the flip's two plans (A -> B and B -> A),
+  // built the same way whether or not the cache is on.
+  state.counters["plan_footprint_bytes"] =
+      static_cast<double>(plan_bytes.load());
   state.counters["data_msgs_per_flip"] =
       static_cast<double>(stats.data_messages) / kFlips;
   state.counters["data_bytes_per_flip"] =

@@ -9,15 +9,15 @@
 // column-major order, so only values travel.  A halo plan is the inspector
 // product of that enumeration:
 //
-//   * pack runs:   maximal innermost-dimension contiguous runs of local
+//   * pack side:   maximal innermost-dimension contiguous runs of local
 //                  storage whose elements fill one neighbour's ghost
-//                  region -- one memcpy per run into that peer's buffer;
-//   * send_counts: exact per-peer element counts, so buffers are sized
+//                  region, folded into 2-D sections (a face across the
+//                  non-contiguous dimension is one strided section), with
+//                  exact per-peer element counts, so buffers are sized
 //                  once with no counting pass at exchange time;
-//   * unpack runs / recv_counts: the mirror image into this rank's ghost
-//                  storage, grouped by source so a split-phase consumer
-//                  scatters one arriving payload by walking only that
-//                  peer's runs.
+//   * unpack side: the mirror image into this rank's ghost storage,
+//                  grouped by source so a split-phase consumer scatters
+//                  one arriving payload by walking only that peer's runs.
 //
 // With spec.corners() set, diagonal directions (more than one non-zero
 // per-dimension offset) are exchanged in the same single exchange -- the

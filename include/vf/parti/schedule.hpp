@@ -9,21 +9,26 @@
 // pair; duplicate occurrences are fanned out (gather) or pre-combined
 // (scatter, scatter_add) on the requesting side.
 //
-// Executor hot loops are branch-free walks over flat std::size_t storage
-// offsets: the first executor call against an array translates the served
-// and locally-satisfied index points into local storage offsets once (and
-// re-translates only if the array, its distribution or its overlap
-// changes), so repeated executor calls perform no per-element IndexVec
-// arithmetic, no at() ownership checks, and -- because both sides' counts
-// were agreed at inspector time -- no count-exchange collective.
-// Serve/combine and receive buffers are persistent per-schedule exchange
-// scratch (msg::ExchangeScratch, one lane per element size) moved through
-// Context::alltoallv_known_into, so a warmed-up executor replay performs
-// no heap allocation at all.  This is what makes the inspector cost
-// amortizable (bench E7) in codes like the PIC example of Section 4.
+// Executors replay two folded run sides (msg/run_plan.hpp) through the
+// walker DISTRIBUTE and the overlap exchange use: the buffer side (per
+// peer, the buffer positions of each unique element's first occurrence)
+// and, per bound array, the storage side (per peer, the served offsets).
+// gather packs the storage side and unpacks the buffer side, scatter the
+// reverse; later occurrences sit in a per-peer (slot, position) list.
+// The own slot -- the local points and the halo reads, per occurrence
+// -- takes no lane space: its buffer positions are a one-peer side, each
+// binding holds its storage offsets in that side's run shape, and
+// zip_runs copies between the two directly while the exchange is in
+// flight.  With counts agreed at inspector
+// time and persistent scratch, a warmed-up replay does no index
+// arithmetic, no count collective and no heap allocation.  The own slot
+// goes first, then peers in ascending rank order, which fixes the order
+// of conflicting scatter writes.  This makes the inspector cost
+// amortizable (bench E7), as in the PIC of Section 4.
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -32,6 +37,7 @@
 #include "vf/dist/registry.hpp"
 #include "vf/halo/spec.hpp"
 #include "vf/msg/context.hpp"
+#include "vf/msg/run_plan.hpp"
 #include "vf/rt/dist_array.hpp"
 
 namespace vf::parti {
@@ -61,7 +67,8 @@ class Schedule {
   /// storage instead of travelling in the executor exchange.  The caller
   /// guarantees ghosts are current (exchange_overlap() since the last
   /// write); halo-satisfied points are read-only, so scatter executors
-  /// reject schedules that carry any.
+  /// reject schedules that carry any -- on every rank together (one
+  /// allreduce agrees whether any rank has halo reads).
   ///
   /// `halo` is this rank's LOCAL spec even under an asymmetric per-rank
   /// declaration (pass the array's halo_spec()): which overlap reads the
@@ -116,11 +123,11 @@ class Schedule {
   }
   /// Number of points satisfied locally.
   [[nodiscard]] std::size_t n_local() const noexcept {
-    return local_linear_.size();
+    return own_linear_.size() - n_halo_;
   }
   /// Number of points satisfied from the overlap (ghost) area.
   [[nodiscard]] std::size_t n_halo() const noexcept {
-    return halo_linear_.size();
+    return n_halo_;
   }
 
   /// Executor: fills out[k] with the value of the k-th requested point.
@@ -130,43 +137,23 @@ class Schedule {
               std::span<T> out) const {
     check_size(out.size());
     const Binding& bound = bind(src);
-    const int np = ctx.nprocs();
     const T* data = src.local_span().data();
-    // Owners serve each unique requested element once: a branch-free copy
-    // through the precomputed flat offsets into exactly-sized per-peer
-    // buffers.  The buffers are persistent per-schedule scratch, keyed by
-    // element size (one schedule may alternate double and int arrays
-    // through its binding cache): a warmed-up replay allocates nothing on
-    // either side of the exchange.
+    // Scratch lanes are keyed by element size: one schedule may alternate
+    // double and int arrays through its binding cache.
     msg::ExchangeLane& lane = scratch_.lane(sizeof(T));
-    lane.prepare(expect_scatter_, req_unique_counts_);
-    for (int p = 0; p < np; ++p) {
-      const auto up = static_cast<std::size_t>(p);
-      const std::size_t b = serve_start_[up];
-      const std::size_t e = serve_start_[up + 1];
-      T* buf = lane.send<T>(p).data();
-      for (std::size_t k = b; k < e; ++k) {
-        buf[k - b] = data[bound.serve_off[k]];
+    lane.prepare(bound.storage.counts, buffer_.counts);
+    msg::pack(bound.storage, reinterpret_cast<const std::byte*>(data), lane);
+    auto* dst = reinterpret_cast<std::byte*>(out.data());
+    ctx.lockstep_note(lockstep_note(Executor::Gather));
+    const int tag = ctx.begin_exchange(lane);
+    msg::zip_runs(bound.own, data, own_, out.data(),
+                  [](const T& s, T& o) { o = s; });
+    ctx.end_exchange(lane, tag, [&](int p, std::span<const std::byte> b) {
+      msg::unpack(buffer_, p, b, dst, sizeof(T));
+      for (const Dup& d : dups_[p]) {
+        std::memcpy(&out[d.pos], b.data() + d.slot * sizeof(T), sizeof(T));
       }
-    }
-    ctx.alltoallv_known_into(lane);
-    for (std::size_t k = 0; k < local_linear_.size(); ++k) {
-      out[local_positions_[k]] = data[bound.local_off[k]];
-    }
-    // Overlap-area reads: served from ghost storage the preceding halo
-    // exchange already filled -- no transport at all.
-    for (std::size_t k = 0; k < halo_linear_.size(); ++k) {
-      out[halo_positions_[k]] = data[bound.halo_off[k]];
-    }
-    // Fan replies out to every occurrence.
-    for (int p = 0; p < np; ++p) {
-      const auto& occ = occ_unique_index_[static_cast<std::size_t>(p)];
-      const auto& pos = occ_positions_[static_cast<std::size_t>(p)];
-      const T* vals = lane.recv<T>(p).data();
-      for (std::size_t k = 0; k < occ.size(); ++k) {
-        out[pos[k]] = vals[occ[k]];
-      }
-    }
+    });
     if (!hybrid_) return;
     // Replicated side: owners publish their heavy values once (Bruck
     // allgather), every rank fans them out to its occurrences locally.
@@ -178,7 +165,7 @@ class Schedule {
     }
     const auto per_rank = ctx.allgather_vec(std::move(mine));
     std::vector<T> heavy_vals(n_heavy_);
-    for (int r = 0; r < np; ++r) {
+    for (int r = 0; r < ctx.nprocs(); ++r) {
       const auto ur = static_cast<std::size_t>(r);
       std::copy(per_rank[ur].begin(), per_rank[ur].end(),
                 heavy_vals.begin() +
@@ -209,32 +196,51 @@ class Schedule {
 
   /// Executor: writes in[k] to the k-th requested point (collective).
   /// When several occurrences name the same point, the last occurrence in
-  /// request order wins (duplicates are combined before transport).
+  /// request order wins (duplicates are combined before transport); an
+  /// owner applies its local writes, then other ranks' in rank order.
   template <typename T>
   void scatter(msg::Context& ctx, std::span<const T> in,
                rt::DistArray<T>& dst) const {
-    exec_scatter(ctx, in, dst, /*accumulate=*/false);
+    exec_scatter(ctx, in, dst, Executor::Scatter);
   }
 
   /// Executor: accumulates in[k] into the k-th requested point
   /// (collective); every occurrence contributes (pre-summed per unique
-  /// element before transport).
+  /// element before transport), in the order scatter writes.  T needs a
+  /// value-initialized zero and +=.
   template <typename T>
   void scatter_add(msg::Context& ctx, std::span<const T> in,
                    rt::DistArray<T>& dst) const {
-    exec_scatter(ctx, in, dst, /*accumulate=*/true);
+    exec_scatter(ctx, in, dst, Executor::ScatterAdd);
   }
 
  private:
+  friend struct ScheduleTestAccess;  // run sides and notes, for the tests
+
+  /// The executor kinds, and the SPMD-uniform token each notes for the
+  /// lockstep checker (its kind folded with the target's fingerprint).
+  enum class Executor : std::uint64_t { Gather = 1, Scatter, ScatterAdd };
+  [[nodiscard]] std::uint64_t lockstep_note(Executor op) const noexcept {
+    return msg::mix64(target_->fingerprint() + static_cast<std::uint64_t>(op));
+  }
+
+  /// A later occurrence of a remote element: its slot in the peer's
+  /// buffer and its executor-buffer position.
+  struct Dup {
+    std::size_t slot;
+    std::size_t pos;
+  };
+
   template <typename T>
   void exec_scatter(msg::Context& ctx, std::span<const T> in,
-                    rt::DistArray<T>& dst, bool accumulate) const {
+                    rt::DistArray<T>& dst, Executor op) const {
     check_size(in.size());
-    if (!halo_linear_.empty()) {
+    if (any_halo_) {  // SPMD-uniform: every rank throws together
       throw std::logic_error(
           "Schedule: halo-satisfied points are read-only; scatter needs a "
           "schedule built without a halo spec");
     }
+    const bool accumulate = op == Executor::ScatterAdd;
     if (hybrid_ && !accumulate) {
       // Replicated elements have no single last writer across ranks;
       // plain scatter is undefined on them.  hybrid_ is SPMD-uniform, so
@@ -245,52 +251,44 @@ class Schedule {
           "schedule without SkewConfig");
     }
     const Binding& bound = bind(dst);
-    const int np = ctx.nprocs();
-    // Requester-side combining into persistent per-schedule scratch: one
-    // slot per unique remote element.  The accumulate path pre-fills the
-    // combine buffers with the additive identity; plain scatter writes
-    // every slot (each unique element has at least one occurrence), so no
-    // fill is needed and last-occurrence-wins falls out of request order.
+    // Later occurrences overwrite (the last wins) or add into their
+    // packed slot in request order; scatter_add starts each remote slot
+    // from a zero it adds x to, the zero-filled sum bit for bit (signed
+    // zeros too).
     msg::ExchangeLane& lane = scratch_.lane(sizeof(T));
-    lane.prepare(req_unique_counts_, expect_scatter_);
-    for (int p = 0; p < np; ++p) {
-      const auto up = static_cast<std::size_t>(p);
+    lane.prepare(buffer_.counts, bound.storage.counts);
+    msg::pack(buffer_, reinterpret_cast<const std::byte*>(in.data()), lane);
+    for (int p = 0; p < ctx.nprocs(); ++p) {
       const std::span<T> buf = lane.send<T>(p);
-      if (accumulate) std::fill(buf.begin(), buf.end(), T{});
-      const auto& occ = occ_unique_index_[up];
-      const auto& pos = occ_positions_[up];
-      for (std::size_t k = 0; k < occ.size(); ++k) {
-        if (accumulate) {
-          buf[occ[k]] += in[pos[k]];
-        } else {
-          buf[occ[k]] = in[pos[k]];
-        }
-      }
-    }
-    ctx.alltoallv_known_into(lane);
-    T* data = dst.local_span().data();
-    for (std::size_t k = 0; k < local_linear_.size(); ++k) {
-      T& slot = data[bound.local_off[k]];
       if (accumulate) {
-        slot += in[local_positions_[k]];
-      } else {
-        slot = in[local_positions_[k]];
-      }
-    }
-    for (int p = 0; p < np; ++p) {
-      const auto up = static_cast<std::size_t>(p);
-      const std::size_t b = serve_start_[up];
-      const std::size_t e = serve_start_[up + 1];
-      const T* vals = lane.recv<T>(p).data();
-      for (std::size_t k = b; k < e; ++k) {
-        T& slot = data[bound.serve_off[k]];
-        if (accumulate) {
-          slot += vals[k - b];
-        } else {
-          slot = vals[k - b];
+        for (T& v : buf) {
+          T zero{};
+          zero += v;
+          v = zero;
         }
+        for (const Dup& d : dups_[p]) buf[d.slot] += in[d.pos];
+      } else {
+        for (const Dup& d : dups_[p]) buf[d.slot] = in[d.pos];
       }
     }
+    T* data = dst.local_span().data();
+    ctx.lockstep_note(lockstep_note(op));
+    const int tag = ctx.begin_exchange(lane);
+    if (accumulate) {
+      msg::zip_runs(own_, in.data(), bound.own, data,
+                    [](const T& x, T& s) { s += x; });
+    } else {
+      msg::zip_runs(own_, in.data(), bound.own, data,
+                    [](const T& x, T& s) { s = x; });
+    }
+    ctx.end_exchange(lane, tag, [&](int p, std::span<const std::byte> b) {
+      if (accumulate) {
+        msg::accumulate(bound.storage, p, b, data);
+      } else {
+        msg::unpack(bound.storage, p, b, reinterpret_cast<std::byte*>(data),
+                    sizeof(T));
+      }
+    });
     if (!hybrid_) return;
     // Replicated side of scatter_add: each requester pre-combines its
     // contributions to the heavy elements it touches, the partials are
@@ -320,7 +318,7 @@ class Schedule {
     }
   }
 
-  // Flat storage offsets bound to one array instance.  Cached under the
+  // The storage side bound to one array instance.  Cached under the
   // array's process-unique serial (never recycled, unlike a heap
   // address); the descriptor and overlap handles the offsets were
   // translated under travel with them, since a DISTRIBUTE or a
@@ -328,20 +326,23 @@ class Schedule {
   struct Binding {
     dist::DistHandle dist;
     halo::HaloHandle halo;
-    std::vector<std::size_t> serve_off;  ///< parallel to serve_linear_
-    std::vector<std::size_t> local_off;  ///< parallel to local_linear_
-    std::vector<std::size_t> halo_off;   ///< parallel to halo_linear_
+    msg::RunSide storage;                ///< see the file comment
+    msg::RunSide own;                    ///< own slot, own_'s run shape
     std::vector<std::size_t> heavy_off;  ///< parallel to heavy_serve_linear_
   };
 
  public:
+  /// Bytes the binding cache holds (the bound storage sides).
+  [[nodiscard]] std::size_t binding_footprint_bytes() const noexcept {
+    return bindings_.resident_bytes();
+  }
   /// Number of arrays currently bound (distinct translation sets held by
   /// the multi-array binding cache).
   [[nodiscard]] std::size_t n_bound_arrays() const noexcept {
     return bindings_.size();
   }
   /// Executor-side binding cache hits/misses (a miss translates all
-  /// served and local points of one array into flat storage offsets).
+  /// served and local points of one array into storage sections).
   [[nodiscard]] std::uint64_t binding_hits() const noexcept {
     return bindings_.stats().hits;
   }
@@ -369,12 +370,19 @@ class Schedule {
   void reset_scratch_stats() const noexcept { scratch_.reset_stats(); }
 
  private:
-  /// Translates the served and local index points into flat storage
-  /// offsets of `a`, through the multi-array binding cache: one schedule
+  /// Translates the served and own-slot index points into the storage
+  /// sides of `a`, through the multi-array binding cache: one schedule
   /// can serve gathers/scatters against several arrays (keyed by array
   /// serial) without re-translating on every alternation.  Schedules are
   /// per-rank objects, so no synchronization is needed.
   const Binding& bind(const rt::DistArrayBase& a) const;
+
+  /// Per peer, during the inspector: each off-processor occurrence's
+  /// buffer position and the index of its unique element.
+  struct Occurrences {
+    std::vector<std::size_t> pos;
+    std::vector<std::size_t> uniq;
+  };
 
   /// Shared inspector body of every constructor.
   void init(msg::Context& ctx, std::vector<dist::IndexVec> points,
@@ -385,20 +393,17 @@ class Schedule {
   /// request list this rank shipped in the base inspector exchange.
   void init_hybrid(msg::Context& ctx,
                    const std::vector<std::vector<dist::Index>>& requested,
-                   const SkewConfig& cfg);
+                   const SkewConfig& cfg, std::vector<Occurrences>& occ);
 
   std::size_t n_points_ = 0;
   std::size_t n_unique_offproc_ = 0;
 
-  // Requester side, per peer: positions (into the executor buffer) of each
-  // off-processor occurrence and the index of its unique element within
-  // the peer's serve list.
-  std::vector<std::vector<std::size_t>> occ_positions_;
-  std::vector<std::vector<std::size_t>> occ_unique_index_;
-  // Number of unique elements I exchange with each peer (as requester);
-  // doubles as the pre-agreed per-peer count of values arriving during a
-  // gather, so it feeds alltoallv_known directly.
-  std::vector<std::uint64_t> req_unique_counts_;
+  // Requester side: the buffer side (nothing for this rank), the own
+  // slot's buffer positions, and per peer the later occurrences of its
+  // elements, in request order.
+  msg::RunSide buffer_;
+  msg::RunSide own_;
+  std::vector<std::vector<Dup>> dups_;
 
   // Owner side: unique linearized points to serve, concatenated per peer
   // with serve_start_[p] .. serve_start_[p+1] delimiting peer p's slice.
@@ -406,20 +411,15 @@ class Schedule {
   std::vector<dist::Index> serve_linear_;
   std::vector<std::size_t> serve_start_;
 
-  // Locally satisfied points (linearized) and their buffer positions.
-  std::vector<dist::Index> local_linear_;
-  std::vector<std::size_t> local_positions_;
-
-  // Overlap-area (ghost) satisfied points: owned by a neighbour but
-  // current in this rank's filled halo region, so gathers read them
-  // locally.  Only populated by the halo-aware constructor.
-  std::vector<dist::Index> halo_linear_;
-  std::vector<std::size_t> halo_positions_;
+  // The own slot's points (linearized), in request order: the locally
+  // owned ones and n_halo_ overlap-area (ghost) reads -- owned by a
+  // neighbour but current in this rank's filled halo region.  Only the
+  // halo-aware constructor finds ghost reads; it also sets any_halo_ when
+  // any rank has some.
+  std::vector<dist::Index> own_linear_;
+  std::size_t n_halo_ = 0;
   halo::HaloHandle halo_;
-
-  // Pre-agreed per-peer count of values arriving during a scatter (the
-  // serve-slice sizes, cached as one vector for alltoallv_known).
-  std::vector<std::uint64_t> expect_scatter_;
+  bool any_halo_ = false;
 
   // ---- hybrid (partial-duplication) state ---------------------------------
   //
@@ -461,12 +461,10 @@ class Schedule {
   // or fingerprint verification happens on the hot path.
   dist::DistHandle target_;
 
-  /// Bytes one binding holds (its four offset vectors dominate).
+  /// Bytes one binding holds.
   [[nodiscard]] static std::size_t binding_bytes(const Binding& b) noexcept {
-    return sizeof(Binding) +
-           (b.serve_off.capacity() + b.local_off.capacity() +
-            b.halo_off.capacity() + b.heavy_off.capacity()) *
-               sizeof(std::size_t);
+    return sizeof(Binding) + b.storage.heap_bytes() + b.own.heap_bytes() +
+           b.heavy_off.capacity() * sizeof(std::size_t);
   }
 
   // Multi-array binding cache keyed on the array serial, bounded by

@@ -8,12 +8,13 @@
 // redistribution plan is the "inspector" product of that enumeration, a
 // msg::RunPlan factored out so it can be cached and replayed:
 //
-//   * pack runs:   maximal innermost-dimension runs of the OLD local
-//                  storage whose elements go to one destination rank --
-//                  each run is a single memcpy into that rank's buffer;
-//   * send_counts: exact per-destination element counts, so buffers are
-//                  sized once with no reallocation;
-//   * unpack runs / recv_counts: the mirror image for the NEW storage.
+//   * pack side:   maximal innermost-dimension runs of the OLD local
+//                  storage whose elements go to one destination rank,
+//                  folded into 2-D sections (a CYCLIC(1) target is one
+//                  strided section per destination), with exact
+//                  per-destination element counts, so buffers are sized
+//                  once with no reallocation;
+//   * unpack side: the mirror image for the NEW storage.
 //
 // Because the plan knows the exact per-peer counts on both sides, the
 // executor uses Context::alltoallv_known_into and skips the count-exchange

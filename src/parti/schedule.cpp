@@ -9,13 +9,15 @@ namespace vf::parti {
 
 Schedule::Schedule(msg::Context& ctx, dist::DistHandle target,
                    std::vector<dist::IndexVec> points)
-    : Schedule(ctx, std::move(target), std::move(points), halo::HaloHandle{}) {
+    : target_(std::move(target)) {
+  init(ctx, std::move(points), SkewConfig{});
 }
 
 Schedule::Schedule(msg::Context& ctx, dist::DistHandle target,
                    std::vector<dist::IndexVec> points, halo::HaloHandle halo)
     : halo_(std::move(halo)), target_(std::move(target)) {
   init(ctx, std::move(points), SkewConfig{});
+  any_halo_ = ctx.allreduce(n_halo_ > 0 ? 1 : 0, msg::ReduceOp::Max) != 0;
 }
 
 Schedule::Schedule(msg::Context& ctx, dist::DistHandle target,
@@ -32,10 +34,8 @@ void Schedule::init(msg::Context& ctx, std::vector<dist::IndexVec> points,
   dom_ = target_->domain();
   const int np = ctx.nprocs();
   const int me = ctx.rank();
+  const auto unp = static_cast<std::size_t>(np);
   n_points_ = points.size();
-  occ_positions_.resize(static_cast<std::size_t>(np));
-  occ_unique_index_.resize(static_cast<std::size_t>(np));
-  req_unique_counts_.assign(static_cast<std::size_t>(np), 0);
 
   // The filled ghost widths of (target, halo) on this rank: points inside
   // them are current after an exchange_overlap(), so the inspector plants
@@ -69,10 +69,10 @@ void Schedule::init(msg::Context& ctx, std::vector<dist::IndexVec> points,
 
   // Group this rank's requests by owner and deduplicate per owner, in
   // order of first occurrence.  Only the unique linear ids travel.
-  std::vector<std::vector<dist::Index>> unique_ids(
-      static_cast<std::size_t>(np));
-  std::vector<std::unordered_map<dist::Index, std::size_t>> uniq(
-      static_cast<std::size_t>(np));
+  std::vector<std::vector<dist::Index>> unique_ids(unp);
+  std::vector<std::unordered_map<dist::Index, std::size_t>> uniq(unp);
+  std::vector<Occurrences> occ(unp);
+  msg::RunSideBuilder own(1);  // the own slot's buffer positions
   for (std::size_t k = 0; k < points.size(); ++k) {
     const dist::IndexVec& pt = points[k];
     // Validate against the target domain up front: an out-of-domain point
@@ -87,26 +87,19 @@ void Schedule::init(msg::Context& ctx, std::vector<dist::IndexVec> points,
     }
     const int p = target_->owner_rank(pt);
     const dist::Index lin = dom_.linearize(pt);
-    if (p == me) {
-      local_linear_.push_back(lin);
-      local_positions_.push_back(k);
-      continue;
-    }
-    if (halo_readable(pt)) {
-      halo_linear_.push_back(lin);
-      halo_positions_.push_back(k);
+    if (p == me || halo_readable(pt)) {
+      n_halo_ += p != me ? 1 : 0;
+      own_linear_.push_back(lin);
+      own.add(k, 1);
       continue;
     }
     const auto up = static_cast<std::size_t>(p);
     auto [it, inserted] = uniq[up].try_emplace(lin, uniq[up].size());
     if (inserted) unique_ids[up].push_back(lin);
-    occ_positions_[up].push_back(k);
-    occ_unique_index_[up].push_back(it->second);
+    occ[up].pos.push_back(k);
+    occ[up].uniq.push_back(it->second);
   }
-  for (std::size_t p = 0; p < uniq.size(); ++p) {
-    req_unique_counts_[p] = unique_ids[p].size();
-    n_unique_offproc_ += unique_ids[p].size();
-  }
+  for (const auto& ids : unique_ids) n_unique_offproc_ += ids.size();
 
   // Inspector exchange: ship the unique request lists to the owners.  This
   // is the only count-establishing collective; executors replay with
@@ -116,28 +109,39 @@ void Schedule::init(msg::Context& ctx, std::vector<dist::IndexVec> points,
   std::vector<std::vector<dist::Index>> requested;
   if (cfg.enabled) requested = unique_ids;
   auto incoming = ctx.alltoallv(std::move(unique_ids));
-  serve_start_.assign(static_cast<std::size_t>(np) + 1, 0);
-  expect_scatter_.assign(static_cast<std::size_t>(np), 0);
-  std::size_t total = 0;
-  for (int s = 0; s < np; ++s) {
-    const auto us = static_cast<std::size_t>(s);
-    serve_start_[us] = total;
-    total += incoming[us].size();
-    expect_scatter_[us] = incoming[us].size();
-  }
-  serve_start_[static_cast<std::size_t>(np)] = total;
-  serve_linear_.reserve(total);
-  for (int s = 0; s < np; ++s) {
-    const auto& ids = incoming[static_cast<std::size_t>(s)];
+  serve_start_.assign(1, 0);
+  for (const auto& ids : incoming) {
     serve_linear_.insert(serve_linear_.end(), ids.begin(), ids.end());
+    serve_start_.push_back(serve_linear_.size());
   }
 
-  if (cfg.enabled) init_hybrid(ctx, requested, cfg);
+  if (cfg.enabled) init_hybrid(ctx, requested, cfg, occ);
+
+  // The buffer side.  Unique indices count up in first-occurrence order
+  // (also after the hybrid carve-out), so a new index is a first one.
+  // This rank's own points are not deduplicated.
+  msg::RunSideBuilder buffer(np);
+  dups_.resize(unp);
+  for (std::size_t p = 0; p < unp; ++p) {
+    std::size_t seen = 0;
+    for (std::size_t k = 0; k < occ[p].pos.size(); ++k) {
+      if (occ[p].uniq[k] == seen) {
+        buffer.add(occ[p].pos[k], 1);
+        ++seen;
+      } else {
+        dups_[p].push_back({occ[p].uniq[k], occ[p].pos[k]});
+      }
+    }
+    buffer.end_peer();
+  }
+  buffer_ = std::move(buffer).finish();
+  own.end_peer();
+  own_ = std::move(own).finish();
 }
 
 void Schedule::init_hybrid(
     msg::Context& ctx, const std::vector<std::vector<dist::Index>>& requested,
-    const SkewConfig& cfg) {
+    const SkewConfig& cfg, std::vector<Occurrences>& occ) {
   const int np = ctx.nprocs();
   const int me = ctx.rank();
 
@@ -206,7 +210,6 @@ void Schedule::init_hybrid(
     for (std::size_t k = serve_start_[us]; k < serve_start_[us + 1]; ++k) {
       if (!heavy_mine(serve_linear_[k])) new_serve.push_back(serve_linear_[k]);
     }
-    expect_scatter_[us] = new_serve.size() - new_start[us];
   }
   new_start[static_cast<std::size_t>(np)] = new_serve.size();
   serve_linear_ = std::move(new_serve);
@@ -231,25 +234,21 @@ void Schedule::init_hybrid(
         remap[i] = kept++;
       }
     }
-    req_unique_counts_[up] = kept;
     n_unique_offproc_ += kept;
-    auto& occ = occ_unique_index_[up];
-    auto& pos = occ_positions_[up];
-    std::vector<std::size_t> light_occ;
-    std::vector<std::size_t> light_pos;
-    light_occ.reserve(occ.size());
-    light_pos.reserve(pos.size());
-    for (std::size_t k = 0; k < occ.size(); ++k) {
-      if (is_heavy[occ[k]]) {
-        heavy_occ_slot_.push_back(remap[occ[k]]);
+    std::vector<std::size_t>& uq = occ[up].uniq;
+    std::vector<std::size_t>& pos = occ[up].pos;
+    std::size_t light = 0;
+    for (std::size_t k = 0; k < uq.size(); ++k) {
+      if (is_heavy[uq[k]]) {
+        heavy_occ_slot_.push_back(remap[uq[k]]);
         heavy_occ_pos_.push_back(pos[k]);
       } else {
-        light_occ.push_back(remap[occ[k]]);
-        light_pos.push_back(pos[k]);
+        uq[light] = remap[uq[k]];
+        pos[light++] = pos[k];
       }
     }
-    occ = std::move(light_occ);
-    pos = std::move(light_pos);
+    uq.resize(light);
+    pos.resize(light);
   }
 
   // 6. My scatter_add partial layout: the sorted set of slots I touch.
@@ -315,7 +314,7 @@ const Schedule::Binding& Schedule::bind(const rt::DistArrayBase& a) const {
   // Halo-satisfied reads address the array's ghost storage, so its
   // overlap description must be the inspected one -- one pointer compare
   // thanks to interning.
-  if (!halo_linear_.empty() && a.halo_spec() != halo_) {
+  if (n_halo_ > 0 && a.halo_spec() != halo_) {
     throw std::logic_error(
         "Schedule: array " + a.name() +
         "'s halo spec does not match the one this schedule was inspected "
@@ -324,25 +323,27 @@ const Schedule::Binding& Schedule::bind(const rt::DistArrayBase& a) const {
   Binding b;
   b.dist = d;
   b.halo = a.halo_spec();
-  b.serve_off.resize(serve_linear_.size());
-  for (std::size_t k = 0; k < serve_linear_.size(); ++k) {
-    b.serve_off[k] = static_cast<std::size_t>(
-        a.storage_offset(dom_.delinearize(serve_linear_[k])));
+  // The storage sides, folded while the points are translated.
+  const std::size_t np = serve_start_.size() - 1;
+  msg::RunSideBuilder side(static_cast<int>(np));
+  const auto off = [&](dist::Index lin) {
+    return static_cast<std::size_t>(a.storage_offset(dom_.delinearize(lin)));
+  };
+  for (std::size_t p = 0; p < np; ++p) {
+    for (std::size_t k = serve_start_[p]; k < serve_start_[p + 1]; ++k) {
+      side.add(off(serve_linear_[k]), 1);
+    }
+    side.end_peer();
   }
-  b.local_off.resize(local_linear_.size());
-  for (std::size_t k = 0; k < local_linear_.size(); ++k) {
-    b.local_off[k] = static_cast<std::size_t>(
-        a.storage_offset(dom_.delinearize(local_linear_[k])));
-  }
-  b.halo_off.resize(halo_linear_.size());
-  for (std::size_t k = 0; k < halo_linear_.size(); ++k) {
-    b.halo_off[k] = static_cast<std::size_t>(
-        a.halo_offset(dom_.delinearize(halo_linear_[k])));
-  }
-  b.heavy_off.resize(heavy_serve_linear_.size());
-  for (std::size_t k = 0; k < heavy_serve_linear_.size(); ++k) {
-    b.heavy_off[k] = static_cast<std::size_t>(
-        a.storage_offset(dom_.delinearize(heavy_serve_linear_[k])));
+  b.storage = std::move(side).finish();
+  // The own slot in the shape of its buffer positions, so zip_runs walks
+  // the two in step; halo_offset addresses owned and ghost points alike.
+  b.own = msg::build_like(own_, [&](std::size_t e) {
+    return static_cast<std::size_t>(
+        a.halo_offset(dom_.delinearize(own_linear_[e])));
+  });
+  for (const dist::Index lin : heavy_serve_linear_) {
+    b.heavy_off.push_back(off(lin));
   }
   const std::size_t nb = binding_bytes(b);
   return *bindings_.insert(a.serial(), std::move(b), nb);

@@ -3,6 +3,7 @@
 // is observable afterwards.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -580,6 +581,52 @@ TEST(Failure, MachineIsReusableAfterAbort) {
                 "point-to-point after reset");
   });
   EXPECT_FALSE(m.last_failure_report().any_failed);
+}
+
+/// Which points a ghost region satisfies is a per-rank fact, but the
+/// rejection of a scatter through a halo-aware schedule must not be: here
+/// only rank 0 reads a ghost (point 5), while rank 1 requests an owned and
+/// a remote point.  Every rank must throw, so that both ranks can catch
+/// the error and carry on in step; a rank that went on into the exchange
+/// would wait for rank 0 forever (the armed watchdog turns that hang into
+/// a failure).
+TEST(Failure, OneSidedGhostScatterRejectedOnEveryRank) {
+  for (const msg::TransportKind tk :
+       {msg::TransportKind::Mailbox, msg::TransportKind::SharedMemory}) {
+    msg::Machine m(2, {}, tk);
+    m.set_recv_watchdog(std::chrono::milliseconds(2000));
+    std::atomic<int> rejected{0};
+    run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
+      Env env(ctx);
+      DistArray<double> a(env, {.name = "A",
+                                .domain = IndexDomain::of_extents({8}),
+                                .initial = DistributionType{block()},
+                                .overlap_lo = {1},
+                                .overlap_hi = {1}});
+      a.fill(1.0);
+      a.exchange_overlap();
+      const std::vector<dist::IndexVec> pts =
+          ctx.rank() == 0 ? std::vector<dist::IndexVec>{{2}, {5}, {7}}
+                          : std::vector<dist::IndexVec>{{6}, {1}};
+      const parti::Schedule sched(ctx, a.dist_handle(), pts, a.halo_spec());
+      ck.check_eq(sched.n_halo(), ctx.rank() == 0 ? std::size_t{1}
+                                                  : std::size_t{0},
+                  ctx.rank(), "ghost reads");
+      const std::vector<double> vals(pts.size(), 2.0);
+      try {
+        sched.scatter(ctx, vals, a);
+        ck.fail("scatter through a halo-aware schedule must throw");
+      } catch (const std::logic_error&) {
+        ++rejected;
+      }
+      ctx.barrier();
+      // Still in step: the schedule gathers normally.
+      std::vector<double> out(pts.size());
+      sched.gather(ctx, a, out);
+      for (const double v : out) ck.check_eq(v, 1.0, ctx.rank(), "gather");
+    });
+    EXPECT_EQ(rejected.load(), 2) << msg::to_string(tk);
+  }
 }
 
 }  // namespace

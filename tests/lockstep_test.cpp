@@ -7,15 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "schedule_test_access.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/msg/exchange_scratch.hpp"
 #include "vf/msg/lockstep.hpp"
 #include "vf/msg/transport.hpp"
+#include "vf/parti/schedule.hpp"
 
 namespace vf::msg {
 namespace {
@@ -262,6 +265,55 @@ TEST(LockstepEnv, ManualArmDisarm) {
   EXPECT_TRUE(m.lockstep_check());
   m.set_lockstep_check(false);
   EXPECT_FALSE(m.lockstep_check());
+}
+
+/// PARTI executors note their kind: a rank calling gather while its peer
+/// calls scatter on the same schedule moves the same byte counts, so only
+/// the note tells the two apart.  Without it rank 0 silently returned
+/// rank 1's scatter input.
+TEST(LockstepParti, ExecutorKindDivergenceCaught) {
+  for (const TransportKind tk :
+       {TransportKind::Mailbox, TransportKind::SharedMemory}) {
+    Machine m(2, CostModel{}, tk);
+    m.set_lockstep_check(true);
+    std::atomic<std::uint64_t> gather_note{0};
+    std::atomic<std::uint64_t> scatter_note{0};
+    try {
+      run_spmd(m, [&](Context& ctx) {
+        rt::Env env(ctx);
+        rt::DistArray<double> a(
+            env, {.name = "A",
+                  .domain = dist::IndexDomain::of_extents({8}),
+                  .initial = dist::DistributionType{dist::block()}});
+        a.init([](const dist::IndexVec& i) { return 4.5 + i[0]; });
+        // Each rank asks the other for two elements: symmetric counts.
+        const std::vector<dist::IndexVec> pts =
+            ctx.rank() == 0 ? std::vector<dist::IndexVec>{{5}, {6}}
+                            : std::vector<dist::IndexVec>{{1}, {2}};
+        const parti::Schedule s(ctx, a.dist_handle(), pts);
+        using Access = parti::ScheduleTestAccess;
+        gather_note = mix64(Access::gather_note(s));
+        scatter_note = mix64(Access::scatter_note(s));
+        std::vector<double> buf(2, 100.0);
+        if (ctx.rank() == 0) {
+          s.gather(ctx, a, buf);
+        } else {
+          s.scatter(ctx, buf, a);
+        }
+      });
+      ADD_FAILURE() << "expected LockstepMismatch, run completed cleanly";
+    } catch (const LockstepMismatch& e) {
+      const std::string both = e.mine + " " + e.theirs;
+      EXPECT_NE(both.find("exchange"), std::string::npos) << both;
+      EXPECT_NE(both.find("note=" + std::to_string(gather_note.load())),
+                std::string::npos)
+          << both;
+      EXPECT_NE(both.find("note=" + std::to_string(scatter_note.load())),
+                std::string::npos)
+          << both;
+    }
+    expect_reusable(m);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,16 @@
 // distributed translation tables and inspector/executor schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <random>
+#include <set>
 
+#include "run_plan_util.hpp"
+#include "schedule_test_access.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/parti/schedule.hpp"
 #include "vf/parti/translation_table.hpp"
@@ -14,6 +22,7 @@ namespace {
 using dist::block;
 using dist::col;
 using dist::cyclic;
+using dist::indirect;
 using dist::Distribution;
 using dist::DistributionType;
 using dist::Index;
@@ -547,6 +556,339 @@ TEST(Schedule, HaloAwareBindingRejectsMismatchedSpec) {
     } catch (const std::logic_error&) {
     }
   });
+}
+
+
+// ---- executor order semantics -------------------------------------------
+
+/// One rank's executor input: the requested points and the values it
+/// scatters, reproducible on every rank from (config, rank).
+struct OrderInput {
+  std::vector<IndexVec> points;
+  std::vector<double> values;
+};
+
+/// Values whose sums depend on their order (non-dyadic), with signed and
+/// unsigned zeros mixed in.
+double order_value(std::mt19937& rng) {
+  const int pick = static_cast<int>(rng() % 8);
+  if (pick == 0) return -0.0;
+  if (pick == 1) return 0.0;
+  return (static_cast<double>(rng() % 1000) - 500.0) * 0.1 + 1e-7;
+}
+
+OrderInput order_input(int config, int rank, int np,
+                       const IndexDomain& dom) {
+  std::mt19937 rng(9000 + 31 * config + rank);
+  OrderInput in;
+  if (config == 1) {
+    // The gather-lines shape: every column of the rows i = rank + 1 (mod
+    // np), then scattered extra occurrences.
+    for (Index i = 1 + rank; i <= dom.dim(0).hi; i += np) {
+      for (Index j = 1; j <= dom.dim(1).hi; ++j) in.points.push_back({i, j});
+    }
+  }
+  std::uniform_int_distribution<Index> pick(2, dom.size() - 1);
+  for (int k = 0; k < 24; ++k) in.points.push_back(dom.delinearize(pick(rng)));
+  // Signed-zero probes on the first two elements, which nothing else
+  // touches in config 0: rank 1 adds only -0.0 to element 0 (remote: the
+  // owner receives 0.0 + -0.0), rank 0 adds -0.0 to element 1 (local:
+  // added raw).
+  if (rank == 1) in.points.push_back(dom.delinearize(0));
+  if (rank == 0) in.points.push_back(dom.delinearize(1));
+  for (std::size_t k = 0; k < in.points.size(); ++k) {
+    in.values.push_back(order_value(rng));
+  }
+  in.values.back() = rank <= 1 ? -0.0 : in.values.back();
+  return in;
+}
+
+double order_init(Index lin) { return lin % 3 == 0 ? -0.0 : 0.5 + lin; }
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The executors' order, written out sequentially: an owner's own
+/// occurrences land first, in request order; then each other rank's, in
+/// ascending rank order, with that rank's occurrences of one element
+/// combined first (scatter keeps the last, scatter_add sums from 0.0).
+TEST(Schedule, ExecutorOrderMatchesSequentialModel) {
+  for (const msg::TransportKind tk :
+       {msg::TransportKind::Mailbox, msg::TransportKind::SharedMemory}) {
+    for (int config = 0; config < 2; ++config) {
+      constexpr int kNp = 4;
+      const IndexDomain dom = config == 0 ? IndexDomain::of_extents({12})
+                                          : IndexDomain::of_extents({8, 8});
+      const DistributionType type =
+          config == 0 ? DistributionType{block()}
+                      : DistributionType{col(), block()};
+      msg::Machine m(kNp, {}, tk);
+      testing::run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
+        Env env(ctx);
+        DistArray<double> a(env, {.name = "A", .domain = dom,
+                                  .initial = type});
+        const Distribution& d = a.distribution();
+        const auto n = static_cast<std::size_t>(dom.size());
+        std::vector<double> put(n);
+        std::vector<double> add(n);
+        for (std::size_t x = 0; x < n; ++x) {
+          put[x] = add[x] = order_init(static_cast<Index>(x));
+        }
+        std::vector<OrderInput> all;
+        for (int r = 0; r < kNp; ++r) {
+          all.push_back(order_input(config, r, kNp, dom));
+        }
+        for (int r = 0; r < kNp; ++r) {
+          const OrderInput& in = all[static_cast<std::size_t>(r)];
+          for (std::size_t k = 0; k < in.points.size(); ++k) {
+            if (d.owner_rank(in.points[k]) != r) continue;
+            const auto x =
+                static_cast<std::size_t>(dom.linearize(in.points[k]));
+            put[x] = in.values[k];
+            add[x] += in.values[k];
+          }
+        }
+        for (int r = 0; r < kNp; ++r) {
+          const OrderInput& in = all[static_cast<std::size_t>(r)];
+          std::map<std::size_t, double> last;
+          std::map<std::size_t, double> sum;
+          for (std::size_t k = 0; k < in.points.size(); ++k) {
+            if (d.owner_rank(in.points[k]) == r) continue;
+            const auto x =
+                static_cast<std::size_t>(dom.linearize(in.points[k]));
+            last[x] = in.values[k];
+            sum.try_emplace(x, 0.0).first->second += in.values[k];
+          }
+          for (const auto& [x, v] : last) put[x] = v;
+          for (const auto& [x, v] : sum) add[x] += v;
+        }
+
+        const OrderInput& mine = all[static_cast<std::size_t>(ctx.rank())];
+        const std::string at = std::string(msg::to_string(tk)) + " config " +
+                               std::to_string(config);
+        const auto init = [&] {
+          a.init([&](const IndexVec& i) {
+            return order_init(dom.linearize(i));
+          });
+        };
+        const auto expect_state = [&](const std::vector<double>& model,
+                                      const char* what) {
+          a.for_owned([&](const IndexVec& i, double& v) {
+            const double want =
+                model[static_cast<std::size_t>(dom.linearize(i))];
+            ck.check(same_bits(v, want), ctx.rank(),
+                     at + " " + what + " at " + i.to_string() + ": " +
+                         std::to_string(v) + " != " + std::to_string(want));
+          });
+        };
+        Schedule s(ctx, a.dist_handle(), mine.points);
+        init();
+        s.scatter(ctx, mine.values, a);
+        expect_state(put, "scatter");
+        ctx.barrier();
+        init();
+        s.scatter_add(ctx, mine.values, a);
+        expect_state(add, "scatter_add");
+        std::vector<double> out(mine.points.size());
+        s.gather(ctx, a, out);
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          const double want =
+              add[static_cast<std::size_t>(dom.linearize(mine.points[k]))];
+          ck.check(same_bits(out[k], want), ctx.rank(),
+                   at + " gather at " + mine.points[k].to_string());
+        }
+      });
+    }
+  }
+}
+
+// ---- the run sides -------------------------------------------------------
+
+/// The requested points of rank `r` in side-model config `config`:
+/// unordered, with duplicates; config 3 is pure gather-lines rows.
+std::vector<IndexVec> side_points(int config, int seed, int r, int np,
+                                  const IndexDomain& dom) {
+  std::vector<IndexVec> pts;
+  if (config == 3) {
+    for (Index i = 1 + r; i <= dom.dim(0).hi; i += np) {
+      for (Index j = 1; j <= dom.dim(1).hi; ++j) pts.push_back({i, j});
+    }
+    return pts;
+  }
+  std::mt19937 rng(static_cast<unsigned>(700 + 97 * seed + 13 * config + r));
+  std::uniform_int_distribution<Index> pick(0, dom.size() - 1);
+  const int n = 10 + static_cast<int>(rng() % 40);
+  for (int k = 0; k < n; ++k) {
+    const IndexVec pt = dom.delinearize(pick(rng));
+    pts.push_back(pt);
+    if (rng() % 4 == 0) pts.push_back(pt);  // a duplicate
+  }
+  std::shuffle(pts.begin(), pts.end(), rng);
+  return pts;
+}
+
+/// Builds the buffer and storage sides of fuzzed schedules over BLOCK
+/// with an overlap (halo-aware), CYCLIC(k), INDIRECT and (:, BLOCK)
+/// targets and checks them against a sequential model of the inspector:
+/// CSR form and per-peer counts, no section repeating an offset, offsets
+/// inside the allocation, both ends of every transfer agreeing on its
+/// size, and the exact element order of every peer's runs.
+TEST(Schedule, RunSidesMatchTheInspectorModel) {
+  constexpr int kNp = 4;
+  for (int config = 0; config < 4; ++config) {
+    for (int seed = 0; seed < (config == 3 ? 1 : 6); ++seed) {
+      const IndexDomain dom = config == 3 ? IndexDomain::of_extents({16, 16})
+                                          : IndexDomain::of_extents({40});
+      std::vector<int> owners(40);
+      for (std::size_t k = 0; k < owners.size(); ++k) {
+        owners[k] = static_cast<int>(
+            (k * 7 + static_cast<std::size_t>(seed)) % kNp);
+      }
+      const DistributionType type =
+          config == 0   ? DistributionType{block()}
+          : config == 1 ? DistributionType{cyclic(3)}
+          : config == 2 ? DistributionType{indirect(owners)}
+                        : DistributionType{col(), block()};
+      const bool halo_aware = config == 0;
+      const std::string tag =
+          "config " + std::to_string(config) + " seed " + std::to_string(seed);
+      run_checked(kNp, [&](Context& ctx, SpmdChecker& ck) {
+        Env env(ctx);
+        DistArray<double>::Spec spec{
+            .name = "A", .domain = dom, .initial = type};
+        if (halo_aware) {
+          spec.overlap_lo = {1};
+          spec.overlap_hi = {1};
+        }
+        DistArray<double> a(env, spec);
+        a.init([&](const IndexVec& i) {
+          return static_cast<double>(dom.linearize(i));
+        });
+        a.exchange_overlap();
+        const Distribution& d = a.distribution();
+        const int me = ctx.rank();
+        // Whether rank r's inspector reads pt from its filled ghosts (the
+        // width-1 overlap of a 1-D BLOCK array: a neighbour's point next
+        // to r's block).
+        const auto ghost_of = [&](int r, const IndexVec& pt) {
+          if (!halo_aware || d.owner_rank(pt) == r) return false;
+          for (const Index nb : {pt[0] - 1, pt[0] + 1}) {
+            if (nb >= 1 && nb <= 40 && d.owner_rank(IndexVec{nb}) == r) {
+              return true;
+            }
+          }
+          return false;
+        };
+        const std::vector<IndexVec> mine =
+            side_points(config, seed, me, kNp, dom);
+        std::optional<Schedule> s;
+        if (halo_aware) {
+          s.emplace(ctx, a.dist_handle(), mine, a.halo_spec());
+        } else {
+          s.emplace(ctx, a.dist_handle(), mine);
+        }
+        using Access = ScheduleTestAccess;
+        const msg::RunSide& buf = Access::buffer_side(*s);
+        const msg::RunSide& sto = Access::storage_side(*s, a);
+        const msg::RunSide& own_buf = Access::own_buffer_side(*s);
+        const msg::RunSide& own_sto = Access::own_storage_side(*s, a);
+        const std::string at = tag + " rank " + std::to_string(me);
+        {
+          // gtest assertions are not thread-safe: the form checks run on
+          // one rank at a time.
+          static std::mutex mu;
+          const std::lock_guard lk(mu);
+          testing::expect_side_form(buf, kNp, at + " buffer");
+          testing::expect_side_form(sto, kNp, at + " storage");
+          testing::expect_side_form(own_buf, 1, at + " own buffer");
+          testing::expect_side_form(own_sto, 1, at + " own storage");
+        }
+        for (const msg::RunSide* side : {&sto, &own_sto}) {
+          for (const std::size_t off : testing::expand(*side)) {
+            ck.check(off < a.local_span().size(), me,
+                     at + ": storage offset outside the allocation");
+          }
+        }
+
+        // The model: my own slot, per occurrence, then what I request
+        // from each peer and what each peer requests from me, unique, in
+        // first-occurrence order.
+        std::vector<std::vector<std::size_t>> want_buf(kNp);
+        std::vector<std::vector<std::size_t>> want_sto(kNp);
+        std::vector<std::size_t> self_buf;
+        std::vector<std::size_t> self_sto;
+        std::vector<std::set<Index>> seen(kNp);
+        for (std::size_t k = 0; k < mine.size(); ++k) {
+          const int o = d.owner_rank(mine[k]);
+          if (o == me) {
+            self_buf.push_back(k);
+            self_sto.push_back(
+                static_cast<std::size_t>(a.storage_offset(mine[k])));
+          } else if (ghost_of(me, mine[k])) {
+            self_buf.push_back(k);
+            self_sto.push_back(
+                static_cast<std::size_t>(a.halo_offset(mine[k])));
+          } else if (seen[static_cast<std::size_t>(o)]
+                         .insert(dom.linearize(mine[k]))
+                         .second) {
+            want_buf[static_cast<std::size_t>(o)].push_back(k);
+          }
+        }
+        for (int r = 0; r < kNp; ++r) {
+          if (r == me) continue;
+          std::set<Index> served;
+          for (const IndexVec& pt : side_points(config, seed, r, kNp, dom)) {
+            if (d.owner_rank(pt) != me || ghost_of(r, pt)) continue;
+            if (served.insert(dom.linearize(pt)).second) {
+              want_sto[static_cast<std::size_t>(r)].push_back(
+                  static_cast<std::size_t>(a.storage_offset(pt)));
+            }
+          }
+        }
+        ck.check(testing::expand(own_buf) == self_buf, me,
+                 at + ": own buffer runs");
+        ck.check(testing::expand(own_sto) == self_sto, me,
+                 at + ": own storage runs");
+        ck.check(testing::same_shape(own_sto, own_buf), me,
+                 at + ": own storage runs in the buffer runs' shape");
+        ck.check(buf.counts[static_cast<std::size_t>(me)] == 0 &&
+                     sto.counts[static_cast<std::size_t>(me)] == 0,
+                 me, at + ": the own slot takes no lane space");
+        if (config == 3) {
+          ck.check(own_buf.runs.size() == 1 && own_sto.runs.size() == 1, me,
+                   at + ": gather-lines own slot folds to one section");
+        }
+        for (int p = 0; p < kNp; ++p) {
+          const auto up = static_cast<std::size_t>(p);
+          ck.check(testing::expand(buf, p) == want_buf[up], me,
+                   at + ": buffer runs of peer " + std::to_string(p));
+          ck.check(testing::expand(sto, p) == want_sto[up], me,
+                   at + ": storage runs of peer " + std::to_string(p));
+          if (config == 3) {
+            ck.check(p == me || (buf.peer(p).size() == 1 &&
+                                 sto.peer(p).size() == 1),
+                     me, at + ": gather-lines rows fold to one section "
+                             "per peer");
+          }
+        }
+        // Both ends of every transfer agree on its size.
+        const auto sto_counts = ctx.allgather_vec(sto.counts);
+        for (int p = 0; p < kNp; ++p) {
+          ck.check_eq(buf.counts[static_cast<std::size_t>(p)],
+                      sto_counts[static_cast<std::size_t>(p)]
+                                [static_cast<std::size_t>(me)],
+                      me, at + ": counts with peer " + std::to_string(p));
+        }
+        std::vector<double> out(mine.size());
+        s->gather(ctx, a, out);
+        for (std::size_t k = 0; k < mine.size(); ++k) {
+          ck.check_eq(out[k], static_cast<double>(dom.linearize(mine[k])), me,
+                      at + ": gathered " + mine[k].to_string());
+        }
+      });
+    }
+  }
 }
 
 }  // namespace

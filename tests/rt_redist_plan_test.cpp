@@ -254,8 +254,7 @@ TEST(RedistPlanFormat, RunsCoverOwnedStorageExactlyOnce) {
         const std::string at = tag + " rank " + std::to_string(me);
         testing::expect_csr_form(plan, np, at);
         const auto exactly_owned = [&](const dist::Distribution& d,
-                                       const std::vector<msg::RunPlan::Run>&
-                                           runs,
+                                       const msg::RunSide& runs,
                                        const char* side) {
           const testing::StorageShape shape =
               testing::storage_shape(d, me, glo, ghi);
@@ -275,6 +274,138 @@ TEST(RedistPlanFormat, RunsCoverOwnedStorageExactlyOnce) {
   }
   EXPECT_GT(cyclic_or_indirect, 0);
   EXPECT_GT(ghosted, 0);
+}
+
+/// Folds `offsets` (single elements) into one peer's sections and checks
+/// that the sections replay exactly that sequence.
+msg::RunSide fold_elements(const std::vector<std::size_t>& offsets) {
+  msg::RunSideBuilder b(1);
+  for (const std::size_t off : offsets) b.add(off, 1);
+  b.end_peer();
+  const msg::RunSide side = std::move(b).finish();
+  testing::expect_side_form(side, 1, "fold");
+  EXPECT_EQ(testing::expand(side), offsets);
+  return side;
+}
+
+/// The fold merges exactly: strided rows become one 2-D section, but a
+/// repeated offset, or rows whose elements would coincide, stay apart so
+/// the walk order inside a section never matters.
+TEST(RunPlanFold, SectionsAreExactAndNeverAlias) {
+  // Contiguous rows of 4 at a row stride of 10: one section.
+  EXPECT_EQ(fold_elements({0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23})
+                .runs.size(),
+            1u);
+  // The gather-lines serve walk: rows of 4 at step 16, row stride 4.
+  EXPECT_EQ(fold_elements({1, 17, 33, 49, 5, 21, 37, 53, 9, 25, 41, 57})
+                .runs.size(),
+            1u);
+  // Overlapping rows would repeat offsets: contiguous rows at row stride
+  // 1, and step-2 rows at row stride 2.
+  EXPECT_EQ(fold_elements({0, 1, 2, 1, 2, 3}).runs.size(), 2u);
+  EXPECT_EQ(fold_elements({0, 2, 4, 2, 4, 6}).runs.size(), 2u);
+  // Duplicates and descending offsets never fold into a section; the
+  // three single elements are one listed run.
+  for (const msg::RunSide& side :
+       {fold_elements({5, 5, 5}), fold_elements({9, 7, 5})}) {
+    ASSERT_EQ(side.runs.size(), 1u);
+    EXPECT_TRUE(side.runs[0].listed());
+  }
+}
+
+/// A stretch of small sections is listed only where its offsets take
+/// fewer bytes than its sections; a listed run keeps the element order.
+TEST(RunPlanFold, SmallSectionsAreListedWhereThatIsSmaller) {
+  // A lone element between two long rows stays a section.
+  std::vector<std::size_t> lone;
+  for (std::size_t k = 0; k < 16; ++k) lone.push_back(k);
+  lone.push_back(100);
+  for (std::size_t k = 200; k < 216; ++k) lone.push_back(k);
+  msg::RunSide side = fold_elements(lone);
+  ASSERT_EQ(side.runs.size(), 3u);
+  for (const msg::Run& r : side.runs) EXPECT_FALSE(r.listed());
+  // Rows of 4 and 3 elements: 80 bytes as sections, 96 listed.
+  side = fold_elements({0, 1, 2, 3, 10, 11, 12});
+  ASSERT_EQ(side.runs.size(), 2u);
+  EXPECT_FALSE(side.runs[0].listed() || side.runs[1].listed());
+  // Unordered points are one listed run: one offset per element.
+  std::vector<std::size_t> points(200);
+  std::mt19937 rng(17);
+  for (std::size_t& x : points) x = rng() % 1000;
+  side = fold_elements(points);
+  ASSERT_EQ(side.runs.size(), 1u);
+  EXPECT_TRUE(side.runs[0].listed());
+  EXPECT_EQ(side.index.size(), points.size());
+  // Between long sections, each stretch gets its own listed run.
+  std::vector<std::size_t> mixed(points.begin(), points.begin() + 10);
+  mixed.insert(mixed.end(), lone.begin(), lone.begin() + 16);
+  mixed.insert(mixed.end(), points.begin() + 10, points.begin() + 20);
+  side = fold_elements(mixed);
+  ASSERT_EQ(side.runs.size(), 3u);
+  EXPECT_TRUE(side.runs[0].listed() && side.runs[2].listed());
+  EXPECT_FALSE(side.runs[1].listed());
+}
+
+/// build_like keeps a section of the given shape where the offsets fold
+/// into one exactly and lists every other run; zip_runs then pairs the
+/// two sides element by element.
+TEST(RunPlanFold, BuildLikeKeepsMatchingSectionsAndZipPairsInOrder) {
+  // The shape: rows of 3 at row stride 4 (positions 0-2, 4-6, 8-10),
+  // then three unordered positions (listed).
+  const msg::RunSide like =
+      fold_elements({0, 1, 2, 4, 5, 6, 8, 9, 10, 30, 20, 25});
+  ASSERT_EQ(like.runs.size(), 2u);
+  ASSERT_TRUE(like.runs[1].listed());
+  // Offsets at step 2 with a row stride of 100 fit the section; a
+  // second set breaks it in its last row.
+  const std::vector<std::size_t> fit = {7, 9, 11, 107, 109, 111, 207, 209,
+                                        211, 3, 1, 2};
+  const std::vector<std::size_t> broken = {7, 9, 11, 107, 109, 111, 207, 209,
+                                           210, 3, 1, 2};
+  for (const auto* offs : {&fit, &broken}) {
+    const msg::RunSide side =
+        msg::build_like(like, [&](std::size_t e) { return (*offs)[e]; });
+    testing::expect_side_form(side, 1, "build_like");
+    EXPECT_TRUE(testing::same_shape(like, side));
+    EXPECT_EQ(testing::expand(side), *offs);
+    EXPECT_EQ(side.runs[0].listed(), offs == &broken);
+    EXPECT_TRUE(side.runs[1].listed());
+    // zip_runs pairs the i-th element of each side, in order.
+    std::vector<int> src(256, 0);
+    std::vector<int> dst(32, -1);
+    for (std::size_t k = 0; k < offs->size(); ++k) {
+      src[(*offs)[k]] = static_cast<int>(k);
+    }
+    msg::zip_runs(side, src.data(), like, dst.data(),
+                  [](const int& s, int& d) { d = s; });
+    const std::vector<std::size_t> pos = testing::expand(like);
+    for (std::size_t k = 0; k < pos.size(); ++k) {
+      EXPECT_EQ(dst[pos[k]], static_cast<int>(k)) << "element " << k;
+    }
+  }
+}
+
+/// A BLOCK -> CYCLIC(1) flip is one strided section per peer on the pack
+/// side and one contiguous section per peer on the unpack side, not one
+/// run per element.
+TEST(RunPlanFold, CyclicFlipIsOneSectionPerPeer) {
+  constexpr int kNp = 4;
+  const IndexDomain dom = IndexDomain::of_extents({1024});
+  const dist::ProcessorSection procs(dist::ProcessorArray::line(kNp));
+  const dist::Distribution od(dom, DistributionType{block()}, procs);
+  const dist::Distribution nd(dom, DistributionType{cyclic(1)}, procs);
+  const IndexVec none = IndexVec::filled(1, 0);
+  std::vector<msg::RunPlan> plans;
+  for (int me = 0; me < kNp; ++me) {
+    plans.push_back(build_redist_plan(od, nd, me, kNp, none, none));
+    const msg::RunPlan& plan = plans.back();
+    testing::expect_csr_form(plan, kNp, "flip");
+    for (int p = 0; p < kNp; ++p) {
+      EXPECT_EQ(plan.pack.peer(p).size(), 1u) << me << " -> " << p;
+      EXPECT_EQ(plan.unpack.peer(p).size(), 1u) << p << " -> " << me;
+    }
+  }
+  testing::expect_counts_agree(plans, "flip");
 }
 
 }  // namespace
