@@ -1,11 +1,15 @@
 // E9 -- access functions and overlap areas (Section 3.2.1): local access
-// through loc_map is O(1); non-local access is worth batching.  Seven
+// through loc_map is O(1); non-local access is worth batching.  Eight
 // measurements:
 //   * LocalAccess: at() on owned elements (ns/element);
 //   * Stencil9Halo / Stencil9Raw: one 9-point smoothing sweep at P = 1,
 //     n = 512, through for_owned/at/halo and on a raw std::vector
 //     (ns_per_point); their ratio is the access-function overhead over a
 //     plain array sweep;
+//   * Stencil9Hoisted: the Stencil9Halo sweep with the source's base
+//     pointer, strides and halo box read once into locals and the bounds
+//     check kept: what at()/halo() cost when the access state stays in
+//     registers, and the row their own overhead is read against;
 //   * Stencil7Halo / Stencil7Raw: the same comparison for a 7-point sweep
 //     on an n^3 (BLOCK,BLOCK,BLOCK) array, n = 64 -- the rank-3 access
 //     path, which no rank-2 row exercises;
@@ -15,6 +19,9 @@
 //     overlap-area descriptor component exists to avoid.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "vf/apps/smoothing_sim.hpp"
@@ -91,6 +98,77 @@ void BM_Stencil9Halo(benchmark::State& state) {
         const Index x = i[0] + di;
         const Index y = i[1] + dj;
         return (x < 1 || x > n || y < 1 || y > n) ? c : s.halo({x, y});
+      };
+      out = apps::smooth9_combine(c, rd(-1, 0), rd(+1, 0), rd(0, -1),
+                                  rd(0, +1), rd(-1, -1), rd(-1, +1),
+                                  rd(+1, -1), rd(+1, +1));
+    });
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_point"] = ns_per_point(n * n);
+}
+
+// The same sweep through the same for_owned walker, with the source's base
+// pointer, strides and halo box read once into locals from its public
+// geometry (layout, overlap spec, owned segment).  Neighbour reads keep
+// halo()'s runtime bounds check, so this is what at()/halo() cost when
+// the array's access state stays in registers across the loop.
+void BM_Stencil9Hoisted(benchmark::State& state) {
+  msg::Machine machine(1);
+  msg::Context ctx(machine, 0);
+  rt::Env env(ctx, dist::ProcessorArray::grid(1, 1));
+  const Index n = state.range(0);
+  rt::DistArray<double>::Spec spec{
+      .name = "A",
+      .domain = IndexDomain::of_extents({n, n}),
+      .initial = dist::DistributionType{dist::block(), dist::block()},
+      .overlap_lo = {1, 1},
+      .overlap_hi = {1, 1},
+      .overlap_corners = true};
+  rt::DistArray<double> a(env, spec);
+  spec.name = "B";
+  rt::DistArray<double> b(env, spec);
+  a.init([](const IndexVec& i) { return seed_value(i[0], i[1]); });
+  a.exchange_overlap();
+  benchmark::DoNotOptimize(b.local_span().data());
+
+  // offset(x, y) = (x - lo0) + (y - lo1) * stride1 over the ghost-padded
+  // block, readable for x in [lo0, lo0 + span0], y in [lo1, lo1 + span1].
+  const dist::LocalLayout& L = a.layout();
+  std::array<Index, 2> lo{};
+  std::array<Index, 2> span{};
+  for (int d = 0; d < 2; ++d) {
+    const Index glo = a.halo_spec()->lo(d);
+    const Index ghi = a.halo_spec()->hi(d);
+    const auto ud = static_cast<std::size_t>(d);
+    lo[ud] = a.distribution().dim_map(d).segment(
+                 static_cast<int>(L.coords[d]))->lo - glo;
+    span[ud] = glo + L.counts[d] + ghi - 1;
+  }
+  const Index stride1 = span[0] + 1;
+  const Index base_off = -lo[0] - lo[1] * stride1;
+  const double* data = a.local_span().data();
+  const auto at = [=](Index x, Index y) {
+    return data[base_off + x + y * stride1];
+  };
+  const auto halo = [=](Index x, Index y) {
+    const bool in =
+        (static_cast<std::uint64_t>(x - lo[0]) <=
+         static_cast<std::uint64_t>(span[0])) &
+        (static_cast<std::uint64_t>(y - lo[1]) <=
+         static_cast<std::uint64_t>(span[1]));
+    if (!in) [[unlikely]] {
+      throw std::out_of_range("halo access outside overlap area");
+    }
+    return data[base_off + x + y * stride1];
+  };
+  for (auto _ : state) {
+    b.for_owned([&](const IndexVec& i, double& out) {
+      const double c = at(i[0], i[1]);
+      const auto rd = [&](Index di, Index dj) {
+        const Index x = i[0] + di;
+        const Index y = i[1] + dj;
+        return (x < 1 || x > n || y < 1 || y > n) ? c : halo(x, y);
       };
       out = apps::smooth9_combine(c, rd(-1, 0), rd(+1, 0), rd(0, -1),
                                   rd(0, +1), rd(-1, -1), rd(-1, +1),
@@ -298,6 +376,7 @@ void BM_ElementwiseRemote(benchmark::State& state) {
 
 BENCHMARK(BM_LocalAccess)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Stencil9Halo)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stencil9Hoisted)->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Stencil9Raw)->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Stencil7Halo)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Stencil7Raw)->Arg(64)->Unit(benchmark::kMillisecond);

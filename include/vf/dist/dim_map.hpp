@@ -11,6 +11,17 @@
 // Local indices always enumerate a coordinate's owned set in ascending
 // global order, so loc_map is a dense bijection for every kind (the
 // Definition 1 invariants; see dist_dim_map_test.cpp).
+//
+// Side-effect-free lookups (a contract the access functions rely on): a
+// DimMap is immutable once built.  proc_of, local_of, contiguous and
+// segment only read it -- no lazily built tables, no memo, no mutable
+// members -- and throw only for an index outside dom().  The runtime's
+// cold access paths (DistArrayBase::storage_offset_cold/halo_offset_cold)
+// call them from functions declared [[gnu::pure]] and noexcept, which lets
+// the compiler keep an array's access state in registers across an
+// owner-computes loop.  A lookup that wrote memory would make that
+// declaration false and the hoisted state stale; keep any cache outside
+// this class, built before the array installs the descriptor.
 #pragma once
 
 #include <optional>

@@ -472,15 +472,44 @@ class DistArrayBase {
   // accessors are always_inline: otherwise GCC's partial inlining may
   // outline the cold branch into a clone that takes the IndexVec by
   // reference, and the caller stores its index again.
+  //
+  // Loop invariance.  The cold calls are [[gnu::pure]] and noexcept: they
+  // return the offset, or kNoOffset when the index cannot be translated,
+  // and the inline caller throws through the [[noreturn]]
+  // throw_halo_bounds().  An opaque call that may write memory and return
+  // into the loop forces the compiler to assume it changed the array, so
+  // every at()/halo() in an owner-computes loop would reload affine_,
+  // base_off_, the strides, the halo box and the storage pointer from the
+  // object; a pure call cannot change them, and the throw, sitting outside
+  // the cold call, never returns into the loop -- so the state is read
+  // once per loop.  The contract behind the attribute: every read the
+  // cold paths reach (this class's geometry, the Distribution, its
+  // DimMaps; see dim_map.hpp) is free of side effects -- no lazily built
+  // tables, no mutable members -- and nothing they call may throw, so they
+  // reject what DimMap would throw on (a wrong-size index, a component
+  // outside the domain) before calling it.  storage_offset (at()) also
+  // computes the affine offset before its branch, on both paths (it is
+  // discarded on the cold one): a load every access makes is one the
+  // compiler may hoist out of a loop, where one made only on the affine
+  // path stays inside it (the adi line loops, at() after at(), became
+  // register arithmetic).  halo_offset keeps the offset behind its bounds
+  // branch:
+  // computed first, it slowed the smooth9 kernel, whose halo() reads sit
+  // on a conditional path of their own.
 
   /// Flat local-storage offset of an owned element (no ownership check;
   /// the caller guarantees this rank owns i, with i.size() == rank).
+  /// NotDistributedError without a distribution; the general path also
+  /// throws std::out_of_range naming the array for an index it cannot
+  /// translate (a wrong size, a component outside the domain, a rank
+  /// outside the TO section).
   [[gnu::always_inline]] [[nodiscard]] dist::Index storage_offset(
       const dist::IndexVec& i) const {
+    const dist::Index off = affine_offset(i);
     if (!affine_) [[unlikely]] {
-      return storage_offset_cold(i[0], i[1], i[2], i[3], i.size());
+      return checked(storage_offset_cold(i[0], i[1], i[2], i[3], i.size()));
     }
-    return affine_offset(i);
+    return off;
   }
 
   /// Total allocated elements (owned extent plus ghost padding).
@@ -495,11 +524,12 @@ class DistArrayBase {
   /// accessor and PARTI halo bindings -- translate through.  The affine
   /// form folds the rank test and every per-dimension bounds test into one
   /// branch; a failing index, like every non-affine one, takes the cold
-  /// call, which checks again and throws.
+  /// call, which checks again and returns kNoOffset for checked() to
+  /// throw.
   [[gnu::always_inline]] [[nodiscard]] dist::Index halo_offset(
       const dist::IndexVec& i) const {
     if (!(affine_ & in_halo_box(i))) [[unlikely]] {
-      return halo_offset_cold(i[0], i[1], i[2], i[3], i.size());
+      return checked(halo_offset_cold(i[0], i[1], i[2], i[3], i.size()));
     }
     return affine_offset(i);
   }
@@ -525,13 +555,18 @@ class DistArrayBase {
   /// This rank's local storage (alloc_total() elements).
   [[nodiscard]] virtual std::byte* storage_bytes() noexcept = 0;
   /// Reallocates local storage for the current shape (alloc_total()
-  /// zeroed elements), reusing its capacity.
-  virtual void reset_storage() = 0;
+  /// elements), reusing its capacity.  Every element is zeroed unless
+  /// `owned_written`: the caller is about to write every owned element,
+  /// so only the ghost padding (for_each_ghost_run) is zeroed.
+  virtual void reset_storage(bool owned_written) = 0;
 
-  /// Installs `nd` without moving data: storage is reallocated zeroed,
-  /// unless `keep_storage` (a mapping-equivalent swap: same owned sets,
-  /// local order and sizes, so only the descriptor changes).
-  void install_distribution(dist::DistHandle nd, bool keep_storage = false);
+  /// Installs `nd`: storage is reallocated zeroed, unless `keep_storage`
+  /// (a mapping-equivalent swap: same owned sets, local order and sizes,
+  /// so only the descriptor changes).  `unpacked` is the number of
+  /// elements a plan is about to write into the new storage; when they
+  /// cover the owned block, only the ghost padding is zeroed.
+  void install_distribution(dist::DistHandle nd, bool keep_storage = false,
+                            std::uint64_t unpacked = 0);
 
   /// The (old, new) handle-identity key of the plan cache.  Interning
   /// makes identity equivalent to structural equality, so a hit needs no
@@ -597,19 +632,29 @@ class DistArrayBase {
     return off;
   }
 
-  /// General (non-affine) halves of the access functions, out of line and
-  /// cold: per-dimension DimMap translation (throwing NotDistributedError
-  /// without a distribution), and the halo() bounds and ownership checks
-  /// before it.  The index arrives as its kMaxRank components and its
-  /// size, all in registers: an IndexVec by value would be passed in
-  /// memory, and by reference it needs an address -- either way inlined
-  /// callers would store every index on the hot path.
-  [[gnu::noinline, gnu::cold]] [[nodiscard]] dist::Index storage_offset_cold(
-      dist::Index i0, dist::Index i1, dist::Index i2, dist::Index i3,
-      std::size_t n) const;
-  [[gnu::noinline, gnu::cold]] [[nodiscard]] dist::Index halo_offset_cold(
-      dist::Index i0, dist::Index i1, dist::Index i2, dist::Index i3,
-      std::size_t n) const;
+  /// General (non-affine) halves of the access functions, out of line,
+  /// cold and side-effect free (see "Loop invariance" above):
+  /// per-dimension DimMap translation, after the halo() bounds and
+  /// ownership checks for halo_offset_cold; kNoOffset without a
+  /// distribution or for an index they cannot translate.  The index
+  /// arrives as its kMaxRank components and its size, all in registers:
+  /// an IndexVec by value would be passed in memory, and by reference it
+  /// needs an address -- either way inlined callers would store every
+  /// index on the hot path.
+  [[gnu::noinline, gnu::cold, gnu::pure]] [[nodiscard]] dist::Index
+  storage_offset_cold(dist::Index i0, dist::Index i1, dist::Index i2,
+                      dist::Index i3, std::size_t n) const noexcept;
+  [[gnu::noinline, gnu::cold, gnu::pure]] [[nodiscard]] dist::Index
+  halo_offset_cold(dist::Index i0, dist::Index i1, dist::Index i2,
+                   dist::Index i3, std::size_t n) const noexcept;
+  /// What a cold path returns for an index it cannot translate.
+  static constexpr dist::Index kNoOffset = -1;
+  /// The offset a cold path returned; kNoOffset throws.
+  [[gnu::always_inline]] [[nodiscard]] dist::Index checked(
+      dist::Index off) const {
+    if (off < 0) [[unlikely]] throw_halo_bounds();
+    return off;
+  }
   /// The general DimMap translation behind storage_offset_cold.
   [[nodiscard]] dist::Index storage_offset_general(
       const dist::IndexVec& i) const;
@@ -618,6 +663,39 @@ class DistArrayBase {
       const dist::IndexVec& i) const;
   /// Throws NotDistributedError, or std::out_of_range naming the array.
   [[noreturn]] [[gnu::cold]] void throw_halo_bounds() const;
+
+  /// Calls f(offset, length) for every run of ghost padding in local
+  /// storage, walking the allocation box row by row along dimension 0: a
+  /// row in the ghost planes of some higher dimension is ghost
+  /// throughout, any other row on its first ghost_lo_[0] and last
+  /// ghost_hi_[0] elements.
+  template <typename F>
+  void for_each_ghost_run(F&& f) const {
+    if (!layout_.member || alloc_total_ == 0) return;
+    const int r = dom_.rank();
+    const dist::Index row = alloc_counts_[0];
+    const dist::Index hi0 = ghost_lo_[0] + layout_.counts[0];
+    std::array<dist::Index, dist::kMaxRank> pos{};
+    for (dist::Index off = 0;; off += row) {
+      bool ghost_row = false;
+      for (int d = 1; d < r; ++d) {
+        const dist::Index p = pos[static_cast<std::size_t>(d)];
+        ghost_row |= p < ghost_lo_[d] || p >= ghost_lo_[d] + layout_.counts[d];
+      }
+      if (ghost_row) {
+        f(off, row);
+      } else {
+        if (ghost_lo_[0] > 0) f(off, ghost_lo_[0]);
+        if (ghost_hi_[0] > 0) f(off + hi0, ghost_hi_[0]);
+      }
+      int d = 1;
+      for (; d < r; ++d) {
+        if (++pos[static_cast<std::size_t>(d)] < alloc_counts_[d]) break;
+        pos[static_cast<std::size_t>(d)] = 0;
+      }
+      if (d >= r) return;
+    }
+  }
 
   // ---- owned-element traversal geometry (for the DistArray walkers) ------
 

@@ -23,6 +23,7 @@
 //                                       {p_block(), p_col()}}});
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -85,17 +86,22 @@ class DistArray final : public DistArrayBase {
   // ---- local access (owner-computes fast path) ---------------------------
   // at()/halo() translate through storage_offset/halo_offset: inline affine
   // adds with one fused bounds branch when every dimension is contiguous;
-  // anything else is a cold out-of-line call (see array_base.hpp).
+  // anything else is a cold out-of-line call (see array_base.hpp).  at()
+  // reads the storage pointer before that branch, like its affine state,
+  // so every load it makes is one the compiler can hoist out of the
+  // caller's loop.
 
   /// Reference to owned element i; undefined behaviour if this rank does
   /// not own i (asserted in debug builds).
   [[nodiscard]] T& at(const dist::IndexVec& i) {
     assert(distribution().owns(env_->rank(), i));
-    return local_[static_cast<std::size_t>(storage_offset(i))];
+    T* const data = local_.data();
+    return data[storage_offset(i)];
   }
   [[nodiscard]] const T& at(const dist::IndexVec& i) const {
     assert(distribution().owns(env_->rank(), i));
-    return local_[static_cast<std::size_t>(storage_offset(i))];
+    const T* const data = local_.data();
+    return data[storage_offset(i)];
   }
 
   template <typename... Is>
@@ -382,7 +388,7 @@ class DistArray final : public DistArrayBase {
     ghost_hi_ = nhi;
     halo_ = std::move(nh);
     rebuild_storage_shape();
-    reset_storage();
+    reset_storage(/*owned_written=*/false);
     if (!layout_.member || layout_.total == 0) return;
     const int r = dom_.rank();
     std::array<dist::Index, dist::kMaxRank> pos{};
@@ -422,8 +428,16 @@ class DistArray final : public DistArrayBase {
     return reinterpret_cast<std::byte*>(local_.data());
   }
 
-  void reset_storage() override {
-    local_.assign(static_cast<std::size_t>(alloc_total_), T{});
+  void reset_storage(bool owned_written) override {
+    const auto n = static_cast<std::size_t>(alloc_total_);
+    if (!owned_written) {
+      local_.assign(n, T{});
+      return;
+    }
+    local_.resize(n);
+    for_each_ghost_run([&](dist::Index off, dist::Index len) {
+      std::fill_n(local_.data() + off, len, T{});
+    });
   }
 
   // ---- split-phase traversal helpers --------------------------------------

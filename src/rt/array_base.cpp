@@ -164,23 +164,27 @@ dist::IndexVec unpack_index(dist::Index i0, dist::Index i1, dist::Index i2,
 
 }  // namespace
 
-dist::Index DistArrayBase::storage_offset_cold(dist::Index i0, dist::Index i1,
-                                               dist::Index i2, dist::Index i3,
-                                               std::size_t n) const {
-  return storage_offset_general(unpack_index(i0, i1, i2, i3, n));
+dist::Index DistArrayBase::storage_offset_cold(
+    dist::Index i0, dist::Index i1, dist::Index i2, dist::Index i3,
+    std::size_t n) const noexcept {
+  const dist::IndexVec i = unpack_index(i0, i1, i2, i3, n);
+  // Nothing to translate without a distribution or, on a non-member, any
+  // storage; and nothing DimMap::local_of would throw on (a wrong-size
+  // index, a component outside the domain) may reach it.
+  if (!dist_ || !layout_.member || !dom_.contains(i)) return kNoOffset;
+  return storage_offset_general(i);
 }
 
 dist::Index DistArrayBase::halo_offset_cold(dist::Index i0, dist::Index i1,
                                             dist::Index i2, dist::Index i3,
-                                            std::size_t n) const {
+                                            std::size_t n) const noexcept {
   const dist::IndexVec i = unpack_index(i0, i1, i2, i3, n);
-  if (!halo_readable(i)) throw_halo_bounds();
+  if (!halo_readable(i)) return kNoOffset;
   return storage_offset_general(i);
 }
 
 dist::Index DistArrayBase::storage_offset_general(
     const dist::IndexVec& i) const {
-  if (!dist_) throw NotDistributedError(name_);
   dist::Index off = 0;
   for (int d = 0; d < dom_.rank(); ++d) {
     const dist::Index l = contig_[static_cast<std::size_t>(d)]
@@ -382,11 +386,15 @@ void DistArrayBase::switch_distribution(dist::DistHandle nd, bool transfer) {
 }
 
 void DistArrayBase::install_distribution(dist::DistHandle nd,
-                                         bool keep_storage) {
+                                         bool keep_storage,
+                                         std::uint64_t unpacked) {
   dist_ = std::move(nd);
   layout_ = dist_->layout_for(env_->rank());
   rebuild_storage_shape();
-  if (!keep_storage) reset_storage();
+  if (keep_storage) return;
+  const auto owned =
+      static_cast<std::uint64_t>(layout_.member ? layout_.total : 0);
+  reset_storage(/*owned_written=*/unpacked == owned);
 }
 
 void DistArrayBase::redistribute_data(dist::DistHandle nd) {
@@ -408,8 +416,12 @@ void DistArrayBase::redistribute_data(dist::DistHandle nd) {
   ctx.lockstep_note(msg::mix64(dist_->fingerprint()) ^ nd->fingerprint());
   ctx.alltoallv_known_into(lane);
 
-  // Install the new distribution only now, then unpack.
-  install_distribution(std::move(nd));
+  // Install the new distribution only now, then unpack.  The plan writes
+  // every owned element of the new layout exactly once, so when its
+  // receive counts add up to the owned block only the ghosts are zeroed.
+  std::uint64_t unpacked = 0;
+  for (const std::uint64_t c : plan->unpack.counts) unpacked += c;
+  install_distribution(std::move(nd), /*keep_storage=*/false, unpacked);
   std::byte* dst = storage_bytes();
   for (int p = 0; p < lane.peers(); ++p) {
     msg::unpack(*plan, p, lane.recv_bytes(p), dst, elem);

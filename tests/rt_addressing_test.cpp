@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <tuple>
@@ -444,6 +446,147 @@ TEST(Addressing, WrongRankHaloThrows) {
         expect_throw<std::out_of_range>(
             ck, 0, [&] { (void)a.halo_offset(i); },
             a.name() + ": halo_offset " + i.to_string());
+      }
+    }
+  });
+}
+
+/// The three map kinds the error paths differ on: BLOCK takes the affine
+/// inline path, CYCLIC(2) and INDIRECT the general cold one.  8x6 over a
+/// line of two processors, dimension 1 collapsed with an overlap of 1.
+struct KindCase {
+  const char* name;
+  dist::DimDist d0;
+  Index w0;
+};
+std::vector<KindCase> kind_cases() {
+  return {{"Block", dist::block(), 1},
+          {"Cyclic2", dist::cyclic(2), 0},
+          {"Indirect", dist::indirect({0, 1, 1, 0, 0, 0, 1, 1}), 0}};
+}
+
+Array make_kind_array(Env& env, const KindCase& k, bool distributed) {
+  Array::Spec spec{.name = k.name,
+                   .domain = IndexDomain::of_extents({8, 6}),
+                   .dynamic = true,
+                   .overlap_lo = {k.w0, 1},
+                   .overlap_hi = {k.w0, 1}};
+  if (distributed) spec.initial = dist::DistributionType{k.d0, dist::col()};
+  return Array(env, spec);
+}
+
+// The inline accessors throw through one [[noreturn]] call after a cold
+// translation that reports failure by a sentinel offset; these are the
+// errors that path must still raise, per map kind.
+TEST(Addressing, ErrorPathsPerMapKind) {
+  run_checked(2, [](Context& ctx, SpmdChecker& ck) {
+    const int me = ctx.rank();
+    Env env(ctx, dist::ProcessorArray::line(2));
+    for (const KindCase& k : kind_cases()) {
+      const std::string name = k.name;
+      // Before any distribution every accessor refuses.
+      Array u = make_kind_array(env, k, false);
+      const IndexVec first{1, 1};
+      expect_throw<NotDistributedError>(
+          ck, me, [&] { (void)u.at(first); }, name + ": at undistributed");
+      expect_throw<NotDistributedError>(
+          ck, me, [&] { (void)std::as_const(u).at(first); },
+          name + ": const at undistributed");
+      expect_throw<NotDistributedError>(
+          ck, me, [&] { (void)u.halo(first); },
+          name + ": halo undistributed");
+      expect_throw<NotDistributedError>(
+          ck, me, [&] { (void)u.storage_offset(first); },
+          name + ": storage_offset undistributed");
+
+      Array a = make_kind_array(env, k, true);
+      a.init(value_of);
+      std::vector<IndexVec> owned;
+      a.distribution().for_owned(me, [&](const IndexVec& i) {
+        owned.push_back(i);
+      });
+      ck.check(!owned.empty(), me, name + ": owns something");
+      const IndexVec p0 = owned.front();
+      ck.check_eq(a.halo(p0), value_of(p0), me, name + ": halo of owned");
+
+      // Out of the readable box: every unreadable coordinate of
+      // dimension 0 (one past the ghosts, unowned CYCLIC/INDIRECT
+      // coordinates, outside the domain), each naming the array.
+      int unreadable = 0;
+      for (Index x = -2; x <= 11; ++x) {
+        const IndexVec i{x, p0[1]};
+        if (a.halo_readable(i)) continue;
+        ++unreadable;
+        expect_halo_throws(ck, me, a, i, name + ": out of box");
+      }
+      ck.check(unreadable >= 4, me, name + ": unreadable points exist");
+
+      // Indices of the wrong size.
+      for (const IndexVec& i :
+           {IndexVec{p0[0]}, IndexVec{p0[0], p0[1], 1}, IndexVec{}}) {
+        expect_halo_throws(ck, me, a, i, name + ": wrong size");
+        expect_throw<std::out_of_range>(
+            ck, me, [&] { (void)a.halo_offset(i); },
+            name + ": halo_offset wrong size " + i.to_string());
+      }
+    }
+  });
+}
+
+// A throw caught inside the for_owned callback must not disturb the rest
+// of the sweep: the accessors' state is read once for the loop, and the
+// catch re-enters it on the path the throw left from.  Every third point
+// reads an unreadable index -- out of the domain, or of the wrong size --
+// catches the out_of_range, and goes on reading through at() and halo();
+// both sweeps must match the reference bit for bit.
+TEST(Addressing, ThrowCaughtInsideSweep) {
+  run_checked(2, [](Context& ctx, SpmdChecker& ck) {
+    const int me = ctx.rank();
+    Env env(ctx, dist::ProcessorArray::line(2));
+    for (const KindCase& k : kind_cases()) {
+      const std::string name = k.name;
+      Array a = make_kind_array(env, k, true);
+      a.init(value_of);
+      a.exchange_overlap();
+      Array b = make_kind_array(env, k, true);
+      // The next point along dimension 0 under BLOCK (a ghost at the
+      // block's high face), along the collapsed dimension 1 otherwise.
+      const auto up = [&](const IndexVec& i) {
+        return k.w0 > 0 ? IndexVec{std::min<Index>(i[0] + 1, 8), i[1]}
+                        : IndexVec{i[0], std::min<Index>(i[1] + 1, 6)};
+      };
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        std::size_t caught = 0;
+        std::size_t missed = 0;
+        b.for_owned([&](const IndexVec& i, double& out) {
+          double v = a.at(i);
+          if ((i[0] + 2 * i[1]) % 3 == 0) {
+            const IndexVec bad =
+                i[1] % 2 == 0 ? IndexVec{i[0] + 100, i[1]} : IndexVec{i[0]};
+            try {
+              v += a.halo(bad);
+              ++missed;
+            } catch (const std::out_of_range&) {
+              ++caught;
+              v += 0.25;
+            }
+          }
+          out = 2.0 * v + a.halo(up(i)) + a.at(i);
+        });
+        std::size_t want_caught = 0;
+        b.for_owned([&](const IndexVec& i, double& got) {
+          const bool bad = (i[0] + 2 * i[1]) % 3 == 0;
+          want_caught += bad ? 1 : 0;
+          const double want = 2.0 * (value_of(i) + (bad ? 0.25 : 0.0)) +
+                              value_of(up(i)) + value_of(i);
+          ck.check(std::bit_cast<std::uint64_t>(got) ==
+                       std::bit_cast<std::uint64_t>(want),
+                   me,
+                   name + " sweep " + std::to_string(sweep) + ": " +
+                       i.to_string());
+        });
+        ck.check_eq(caught, want_caught, me, name + ": every bad read threw");
+        ck.check_eq(missed, std::size_t{0}, me, name + ": no bad read passed");
       }
     }
   });

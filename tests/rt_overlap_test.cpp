@@ -3,6 +3,10 @@
 // and the exchange operation used by the smoothing example of Section 4.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "spmd_test_util.hpp"
 #include "vf/rt/dist_array.hpp"
 
@@ -164,6 +168,60 @@ TEST(Overlap, SurvivesRedistribution) {
       ck.check_eq(v, static_cast<double>(100 * i[0] + i[1]), ctx.rank(),
                   "data preserved");
     });
+  });
+}
+
+// DISTRIBUTE writes every owned element through the plan's unpack and
+// zeroes only the ghost padding of the reused storage.  Each flip lands on
+// storage that still holds the previous layout's owned values and the
+// ghosts of an exchange, so a ghost the install failed to zero, or an
+// owned element the unpack missed, shows up as a stale non-zero value.
+TEST(Overlap, DistributeZeroesGhostsAndWritesOwned) {
+  run_checked(4, [](Context& ctx, SpmdChecker& ck) {
+    const int me = ctx.rank();
+    Env env(ctx, dist::ProcessorArray::grid(2, 2));
+    const auto value_of = [](const IndexVec& i) {
+      return static_cast<double>(1 + 100 * i[0] + i[1]);
+    };
+    DistArray<double> a(env, {.name = "Z",
+                              .domain = IndexDomain::of_extents({12, 10}),
+                              .dynamic = true,
+                              .initial = DistributionType{block(), block()},
+                              .overlap_lo = {1, 2},
+                              .overlap_hi = {2, 1},
+                              .overlap_corners = true});
+    a.init(value_of);
+    const DistributionType chain[] = {
+        DistributionType{dist::s_block({3, 9}), block()},
+        DistributionType{block(), dist::s_block({7, 3})},
+        DistributionType{block(), block()},
+        DistributionType{dist::s_block({9, 3}), dist::s_block({2, 8})}};
+    for (int round = 0; round < 2; ++round) {
+      for (const DistributionType& t : chain) {
+        a.exchange_overlap();
+        a.distribute(t);
+        const std::string where = "after " + t.to_string();
+        std::size_t readable = 0;
+        for (dist::Index y = -1; y <= 12; ++y) {
+          for (dist::Index x = -1; x <= 14; ++x) {
+            const IndexVec i{x, y};
+            if (!a.halo_readable(i)) continue;
+            ++readable;
+            const bool owned =
+                a.domain().contains(i) && a.distribution().owns(me, i);
+            const double want = owned ? value_of(i) : 0.0;
+            ck.check(std::bit_cast<std::uint64_t>(a.halo(i)) ==
+                         std::bit_cast<std::uint64_t>(want),
+                     me,
+                     where + (owned ? ": owned " : ": ghost ") +
+                         i.to_string() + " reads " +
+                         std::to_string(a.halo(i)));
+          }
+        }
+        ck.check_eq(readable, a.local_span().size(), me,
+                    where + ": every storage element checked");
+      }
+    }
   });
 }
 
