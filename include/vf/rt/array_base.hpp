@@ -475,8 +475,10 @@ class DistArrayBase {
   //
   // Loop invariance.  The cold calls are [[gnu::pure]] and noexcept: they
   // return the offset, or kNoOffset when the index cannot be translated,
-  // and the inline caller throws through the [[noreturn]]
-  // throw_halo_bounds().  An opaque call that may write memory and return
+  // and the inline caller throws through a [[noreturn]] call --
+  // throw_halo_bounds() for halo(), throw_storage_bounds() for at(), which
+  // takes the index again so its message can name what was wrong with
+  // it.  An opaque call that may write memory and return
   // into the loop forces the compiler to assume it changed the array, so
   // every at()/halo() in an owner-computes loop would reload affine_,
   // base_off_, the strides, the halo box and the storage pointer from the
@@ -507,7 +509,12 @@ class DistArrayBase {
       const dist::IndexVec& i) const {
     const dist::Index off = affine_offset(i);
     if (!affine_) [[unlikely]] {
-      return checked(storage_offset_cold(i[0], i[1], i[2], i[3], i.size()));
+      const dist::Index c =
+          storage_offset_cold(i[0], i[1], i[2], i[3], i.size());
+      if (c < 0) [[unlikely]] {
+        throw_storage_bounds(i[0], i[1], i[2], i[3], i.size());
+      }
+      return c;
     }
     return off;
   }
@@ -524,12 +531,14 @@ class DistArrayBase {
   /// accessor and PARTI halo bindings -- translate through.  The affine
   /// form folds the rank test and every per-dimension bounds test into one
   /// branch; a failing index, like every non-affine one, takes the cold
-  /// call, which checks again and returns kNoOffset for checked() to
-  /// throw.
+  /// call, which checks again and returns kNoOffset for the caller to
+  /// throw on.
   [[gnu::always_inline]] [[nodiscard]] dist::Index halo_offset(
       const dist::IndexVec& i) const {
     if (!(affine_ & in_halo_box(i))) [[unlikely]] {
-      return checked(halo_offset_cold(i[0], i[1], i[2], i[3], i.size()));
+      const dist::Index c = halo_offset_cold(i[0], i[1], i[2], i[3], i.size());
+      if (c < 0) [[unlikely]] throw_halo_bounds();
+      return c;
     }
     return affine_offset(i);
   }
@@ -555,18 +564,17 @@ class DistArrayBase {
   /// This rank's local storage (alloc_total() elements).
   [[nodiscard]] virtual std::byte* storage_bytes() noexcept = 0;
   /// Reallocates local storage for the current shape (alloc_total()
-  /// elements), reusing its capacity.  Every element is zeroed unless
-  /// `owned_written`: the caller is about to write every owned element,
-  /// so only the ghost padding (for_each_ghost_run) is zeroed.
+  /// elements), reusing its capacity.  Every element is zeroed, except
+  /// when `owned_written` (the caller is about to write every owned
+  /// element) and the storage has no ghost padding: then nothing is.
   virtual void reset_storage(bool owned_written) = 0;
 
   /// Installs `nd`: storage is reallocated zeroed, unless `keep_storage`
   /// (a mapping-equivalent swap: same owned sets, local order and sizes,
-  /// so only the descriptor changes).  `unpacked` is the number of
-  /// elements a plan is about to write into the new storage; when they
-  /// cover the owned block, only the ghost padding is zeroed.
+  /// so only the descriptor changes).  `owned_written` is passed on to
+  /// reset_storage().
   void install_distribution(dist::DistHandle nd, bool keep_storage = false,
-                            std::uint64_t unpacked = 0);
+                            bool owned_written = false);
 
   /// The (old, new) handle-identity key of the plan cache.  Interning
   /// makes identity equivalent to structural equality, so a hit needs no
@@ -649,12 +657,6 @@ class DistArrayBase {
                    dist::Index i3, std::size_t n) const noexcept;
   /// What a cold path returns for an index it cannot translate.
   static constexpr dist::Index kNoOffset = -1;
-  /// The offset a cold path returned; kNoOffset throws.
-  [[gnu::always_inline]] [[nodiscard]] dist::Index checked(
-      dist::Index off) const {
-    if (off < 0) [[unlikely]] throw_halo_bounds();
-    return off;
-  }
   /// The general DimMap translation behind storage_offset_cold.
   [[nodiscard]] dist::Index storage_offset_general(
       const dist::IndexVec& i) const;
@@ -663,39 +665,13 @@ class DistArrayBase {
       const dist::IndexVec& i) const;
   /// Throws NotDistributedError, or std::out_of_range naming the array.
   [[noreturn]] [[gnu::cold]] void throw_halo_bounds() const;
-
-  /// Calls f(offset, length) for every run of ghost padding in local
-  /// storage, walking the allocation box row by row along dimension 0: a
-  /// row in the ghost planes of some higher dimension is ghost
-  /// throughout, any other row on its first ghost_lo_[0] and last
-  /// ghost_hi_[0] elements.
-  template <typename F>
-  void for_each_ghost_run(F&& f) const {
-    if (!layout_.member || alloc_total_ == 0) return;
-    const int r = dom_.rank();
-    const dist::Index row = alloc_counts_[0];
-    const dist::Index hi0 = ghost_lo_[0] + layout_.counts[0];
-    std::array<dist::Index, dist::kMaxRank> pos{};
-    for (dist::Index off = 0;; off += row) {
-      bool ghost_row = false;
-      for (int d = 1; d < r; ++d) {
-        const dist::Index p = pos[static_cast<std::size_t>(d)];
-        ghost_row |= p < ghost_lo_[d] || p >= ghost_lo_[d] + layout_.counts[d];
-      }
-      if (ghost_row) {
-        f(off, row);
-      } else {
-        if (ghost_lo_[0] > 0) f(off, ghost_lo_[0]);
-        if (ghost_hi_[0] > 0) f(off + hi0, ghost_hi_[0]);
-      }
-      int d = 1;
-      for (; d < r; ++d) {
-        if (++pos[static_cast<std::size_t>(d)] < alloc_counts_[d]) break;
-        pos[static_cast<std::size_t>(d)] = 0;
-      }
-      if (d >= r) return;
-    }
-  }
+  /// The storage_offset() error for an index storage_offset_cold could
+  /// not translate: NotDistributedError; DimMap's std::out_of_range for a
+  /// component outside the domain; otherwise (a wrong size, a rank that
+  /// owns nothing) a std::out_of_range naming the array.
+  [[noreturn]] [[gnu::cold]] void throw_storage_bounds(
+      dist::Index i0, dist::Index i1, dist::Index i2, dist::Index i3,
+      std::size_t n) const;
 
   // ---- owned-element traversal geometry (for the DistArray walkers) ------
 

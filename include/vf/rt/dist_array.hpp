@@ -23,7 +23,6 @@
 //                                       {p_block(), p_col()}}});
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -430,14 +429,11 @@ class DistArray final : public DistArrayBase {
 
   void reset_storage(bool owned_written) override {
     const auto n = static_cast<std::size_t>(alloc_total_);
-    if (!owned_written) {
+    if (owned_written && alloc_total_ == layout_.total) {
+      local_.resize(n);
+    } else {
       local_.assign(n, T{});
-      return;
     }
-    local_.resize(n);
-    for_each_ghost_run([&](dist::Index off, dist::Index len) {
-      std::fill_n(local_.data() + off, len, T{});
-    });
   }
 
   // ---- split-phase traversal helpers --------------------------------------

@@ -212,6 +212,21 @@ void DistArrayBase::throw_halo_bounds() const {
   throw std::out_of_range("halo access outside overlap area of " + name_);
 }
 
+void DistArrayBase::throw_storage_bounds(dist::Index i0, dist::Index i1,
+                                         dist::Index i2, dist::Index i3,
+                                         std::size_t n) const {
+  if (!dist_) throw NotDistributedError(name_);
+  const dist::IndexVec i = unpack_index(i0, i1, i2, i3, n);
+  if (static_cast<int>(n) == dom_.rank()) {
+    // DimMap's own message for a component outside the domain.
+    for (int d = 0; d < dom_.rank(); ++d) {
+      (void)dist_->dim_map(d).local_of(i[d]);
+    }
+  }
+  throw std::out_of_range("index " + i.to_string() +
+                          " outside the local storage of " + name_);
+}
+
 bool DistArrayBase::owned_partition(const SplitMargins* m,
                                     OwnedPartition& p) const {
   if (!dist_) throw NotDistributedError(name_);
@@ -387,14 +402,11 @@ void DistArrayBase::switch_distribution(dist::DistHandle nd, bool transfer) {
 
 void DistArrayBase::install_distribution(dist::DistHandle nd,
                                          bool keep_storage,
-                                         std::uint64_t unpacked) {
+                                         bool owned_written) {
   dist_ = std::move(nd);
   layout_ = dist_->layout_for(env_->rank());
   rebuild_storage_shape();
-  if (keep_storage) return;
-  const auto owned =
-      static_cast<std::uint64_t>(layout_.member ? layout_.total : 0);
-  reset_storage(/*owned_written=*/unpacked == owned);
+  if (!keep_storage) reset_storage(owned_written);
 }
 
 void DistArrayBase::redistribute_data(dist::DistHandle nd) {
@@ -417,11 +429,10 @@ void DistArrayBase::redistribute_data(dist::DistHandle nd) {
   ctx.alltoallv_known_into(lane);
 
   // Install the new distribution only now, then unpack.  The plan writes
-  // every owned element of the new layout exactly once, so when its
-  // receive counts add up to the owned block only the ghosts are zeroed.
-  std::uint64_t unpacked = 0;
-  for (const std::uint64_t c : plan->unpack.counts) unpacked += c;
-  install_distribution(std::move(nd), /*keep_storage=*/false, unpacked);
+  // every owned element of the new layout exactly once, so storage with
+  // no ghost padding need not be zeroed first.
+  install_distribution(std::move(nd), /*keep_storage=*/false,
+                       /*owned_written=*/true);
   std::byte* dst = storage_bytes();
   for (int p = 0; p < lane.peers(); ++p) {
     msg::unpack(*plan, p, lane.recv_bytes(p), dst, elem);

@@ -111,6 +111,27 @@ void expect_halo_throws(SpmdChecker& ck, int rank, const Array& a,
   }
 }
 
+/// at() and const at() on an index the general path cannot translate:
+/// std::out_of_range whose message contains `want` and is not the halo
+/// error.
+void expect_at_throws(SpmdChecker& ck, int rank, Array& a, const IndexVec& i,
+                      const std::string& want, const std::string& what) {
+  const auto check = [&](auto&& read, const std::string& which) {
+    try {
+      (void)read();
+      ck.fail("[rank " + std::to_string(rank) + "] " + what + ": " + which +
+              " did not throw at " + i.to_string());
+    } catch (const std::out_of_range& e) {
+      const std::string msg = e.what();
+      ck.check(msg.find(want) != std::string::npos &&
+                   msg.find("halo") == std::string::npos,
+               rank, what + ": " + which + " message '" + msg + "'");
+    }
+  };
+  check([&]() -> double { return a.at(i); }, "at");
+  check([&]() -> double { return std::as_const(a).at(i); }, "const at");
+}
+
 /// Every check of the file for the array's current state on this rank.
 void check_state(SpmdChecker& ck, int rank, Array& a,
                  const std::string& where) {
@@ -475,7 +496,7 @@ Array make_kind_array(Env& env, const KindCase& k, bool distributed) {
   return Array(env, spec);
 }
 
-// The inline accessors throw through one [[noreturn]] call after a cold
+// The inline accessors throw through a [[noreturn]] call after a cold
 // translation that reports failure by a sentinel offset; these are the
 // errors that path must still raise, per map kind.
 TEST(Addressing, ErrorPathsPerMapKind) {
@@ -528,6 +549,22 @@ TEST(Addressing, ErrorPathsPerMapKind) {
         expect_throw<std::out_of_range>(
             ck, me, [&] { (void)a.halo_offset(i); },
             name + ": halo_offset wrong size " + i.to_string());
+      }
+
+      // at() checks nothing on the affine path; on the general one, an
+      // index it cannot translate keeps the storage error: DimMap's
+      // domain message, or one naming the array for a wrong size.
+      if (k.w0 == 0) {
+        for (const Index x : {Index{0}, Index{9}}) {
+          expect_at_throws(ck, me, a, IndexVec{x, p0[1]},
+                           "DimMap: index " + std::to_string(x) +
+                               " outside domain",
+                           name + ": at out of domain");
+        }
+        for (const IndexVec& i : {IndexVec{p0[0]}, IndexVec{p0[0], p0[1], 1}}) {
+          expect_at_throws(ck, me, a, i, "local storage of " + name,
+                           name + ": at wrong size");
+        }
       }
     }
   });

@@ -171,25 +171,27 @@ TEST(Overlap, SurvivesRedistribution) {
   });
 }
 
-// DISTRIBUTE writes every owned element through the plan's unpack and
-// zeroes only the ghost padding of the reused storage.  Each flip lands on
-// storage that still holds the previous layout's owned values and the
-// ghosts of an exchange, so a ghost the install failed to zero, or an
-// owned element the unpack missed, shows up as a stale non-zero value.
-TEST(Overlap, DistributeZeroesGhostsAndWritesOwned) {
-  run_checked(4, [](Context& ctx, SpmdChecker& ck) {
+// DISTRIBUTE writes every owned element through the plan's unpack; the
+// install zeroes reused storage first only where it has ghost padding.
+// Each flip lands on storage that still holds the previous layout's owned
+// values (and, padded, the ghosts of an exchange), so a ghost the install
+// failed to zero, or an owned element the unpack missed, shows up as a
+// stale value.  Unpadded, no element is zeroed before the unpack.
+void check_distribute_chain(bool padded) {
+  run_checked(4, [padded](Context& ctx, SpmdChecker& ck) {
     const int me = ctx.rank();
     Env env(ctx, dist::ProcessorArray::grid(2, 2));
     const auto value_of = [](const IndexVec& i) {
       return static_cast<double>(1 + 100 * i[0] + i[1]);
     };
+    const dist::Index w = padded ? 1 : 0;
     DistArray<double> a(env, {.name = "Z",
                               .domain = IndexDomain::of_extents({12, 10}),
                               .dynamic = true,
                               .initial = DistributionType{block(), block()},
-                              .overlap_lo = {1, 2},
-                              .overlap_hi = {2, 1},
-                              .overlap_corners = true});
+                              .overlap_lo = {w, 2 * w},
+                              .overlap_hi = {2 * w, w},
+                              .overlap_corners = padded});
     a.init(value_of);
     const DistributionType chain[] = {
         DistributionType{dist::s_block({3, 9}), block()},
@@ -223,6 +225,14 @@ TEST(Overlap, DistributeZeroesGhostsAndWritesOwned) {
       }
     }
   });
+}
+
+TEST(Overlap, DistributeZeroesGhostsAndWritesOwned) {
+  check_distribute_chain(/*padded=*/true);
+}
+
+TEST(Overlap, DistributeWritesOwnedWithoutPadding) {
+  check_distribute_chain(/*padded=*/false);
 }
 
 TEST(Overlap, HaloAccessOutsideRegionThrows) {
