@@ -12,9 +12,24 @@
 // same volume (the whole array, twice per iteration), but the dynamic
 // version needs no second array; static-gather-lines moves a comparable
 // volume with additional inspector traffic on the first iteration.
+//
+// The line-solve rows isolate the sweeps' compute, single-threaded:
+//   BM_Tridiag/512        -- apps::tridiag on 128 lines of 512, the
+//                            per-rank share of one vfbench `adi` sweep
+//   BM_TridiagDivide/512  -- the same lines through the division form
+//                            tridiag used before its factor table (a
+//                            scratch vector per call, two divisions per
+//                            element on dependency chains); kept here
+//                            only as the baseline
+// Both report ns_per_element; CI gates Tridiag/TridiagDivide <= 0.75.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "vf/apps/adi_sim.hpp"
+#include "vf/apps/kernels.hpp"
 #include "vf/msg/spmd.hpp"
 
 namespace {
@@ -60,6 +75,60 @@ void BM_Adi(benchmark::State& state) {
   state.counters["halo_plan_misses"] = static_cast<double>(halo_misses);
 }
 
+/// The division-form Thomas solve apps::tridiag used before its factor
+/// table: allocates and fills c[] per call and divides by m on both the
+/// factor chain and the right-hand-side chain.
+void tridiag_divide(std::span<double> rhs, double a, double b) {
+  const std::size_t n = rhs.size();
+  if (n == 0) return;
+  std::vector<double> c(n);
+  c[0] = a / b;
+  rhs[0] /= b;
+  for (std::size_t k = 1; k < n; ++k) {
+    const double m = b - a * c[k - 1];
+    c[k] = a / m;
+    rhs[k] = (rhs[k] - a * rhs[k - 1]) / m;
+  }
+  for (std::size_t k = n - 1; k-- > 0;) {
+    rhs[k] -= c[k] * rhs[k + 1];
+  }
+}
+
+/// Solves 128 lines of length range(0) one at a time, each copied from a
+/// fixed right-hand side first (as a sweep gathers its line), so every
+/// iteration solves the same values.
+template <void (*Solve)(std::span<double>, double, double)>
+void solve_lines(benchmark::State& state) {
+  constexpr std::size_t kLines = 128;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> rhs(kLines * n);
+  for (std::size_t k = 0; k < rhs.size(); ++k) {
+    rhs[k] = static_cast<double>((k * 7919) % 1000) / 1000.0 - 0.5;
+  }
+  std::vector<double> line(n);
+  for (auto _ : state) {
+    for (std::size_t l = 0; l < kLines; ++l) {
+      std::copy_n(rhs.begin() + static_cast<std::ptrdiff_t>(l * n), n,
+                  line.begin());
+      Solve(line, -1.0, 4.0);
+      benchmark::DoNotOptimize(line.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["ns_per_element"] = benchmark::Counter(
+      static_cast<double>(kLines * n) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_Tridiag(benchmark::State& state) {
+  solve_lines<apps::tridiag>(state);
+}
+
+void BM_TridiagDivide(benchmark::State& state) {
+  solve_lines<tridiag_divide>(state);
+}
+
 }  // namespace
 
 BENCHMARK(BM_Adi)
@@ -67,3 +136,9 @@ BENCHMARK(BM_Adi)
     ->ArgsProduct({{0, 1, 2}, {32, 64, 128, 256}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(2);
+// Five repetitions each: the CI gate reads each row's fastest.
+BENCHMARK(BM_Tridiag)->Arg(512)->Repetitions(5)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TridiagDivide)
+    ->Arg(512)
+    ->Repetitions(5)
+    ->Unit(benchmark::kMicrosecond);

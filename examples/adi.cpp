@@ -16,9 +16,8 @@
 // operation, with only local accesses during the computation."
 #include <cstdio>
 #include <cmath>
-#include <vector>
 
-#include "vf/apps/kernels.hpp"
+#include "vf/apps/adi_sim.hpp"
 #include "vf/msg/spmd.hpp"
 #include "vf/rt/dist_array.hpp"
 
@@ -71,37 +70,13 @@ void program(msg::Context& ctx) {
     resid(v, u, f);
 
     // Sweep over x-lines: V is (:, BLOCK), each column local to one rank.
-    {
-      const auto cols = v.distribution().owned_in_dim(ctx.rank(), 1);
-      std::vector<double> line(static_cast<std::size_t>(NX));
-      for (dist::Index j : cols) {
-        for (dist::Index i = 1; i <= NX; ++i) {
-          line[static_cast<std::size_t>(i - 1)] = v.at({i, j});
-        }
-        apps::tridiag(line);
-        for (dist::Index i = 1; i <= NX; ++i) {
-          v.at({i, j}) = line[static_cast<std::size_t>(i - 1)];
-        }
-      }
-    }
+    apps::solve_local_lines(v, /*d=*/0, ctx.rank());
 
     // DISTRIBUTE V :: (BLOCK, :) -- the only communication of the step.
     v.distribute(dist::DistributionType{dist::block(), dist::col()});
 
     // Sweep over y-lines: rows are now local.
-    {
-      const auto rows = v.distribution().owned_in_dim(ctx.rank(), 0);
-      std::vector<double> line(static_cast<std::size_t>(NY));
-      for (dist::Index i : rows) {
-        for (dist::Index j = 1; j <= NY; ++j) {
-          line[static_cast<std::size_t>(j - 1)] = v.at({i, j});
-        }
-        apps::tridiag(line);
-        for (dist::Index j = 1; j <= NY; ++j) {
-          v.at({i, j}) = line[static_cast<std::size_t>(j - 1)];
-        }
-      }
-    }
+    apps::solve_local_lines(v, /*d=*/1, ctx.rank());
 
     // Remap back for the next iteration's x-sweep.
     v.distribute(dist::DistributionType{dist::col(), dist::block()});

@@ -22,6 +22,11 @@
 #include "vf/dist/index.hpp"
 #include "vf/msg/context.hpp"
 
+namespace vf::rt {
+template <typename T>
+class DistArray;
+}  // namespace vf::rt
+
 namespace vf::apps {
 
 enum class AdiStrategy {
@@ -59,6 +64,12 @@ struct AdiResult {
   std::uint64_t halo_plan_hits = 0;
   std::uint64_t halo_plan_misses = 0;
 };
+
+/// One ADI sweep: solves every line along dimension `d` that rank `me`
+/// owns with tridiag(), gathering each line from V and scattering the
+/// solution back.  Dimension d must be collapsed (fully local), as it is
+/// for both sweeps of Figure 1 around their DISTRIBUTE.
+void solve_local_lines(rt::DistArray<double>& v, int d, int me);
 
 /// Runs the ADI iteration on the calling SPMD context (collective).
 AdiResult run_adi(msg::Context& ctx, const AdiConfig& cfg, AdiStrategy strat);

@@ -83,28 +83,6 @@ Spec with_rhs_overlap(Spec s, const AdiConfig& cfg) {
   return s;
 }
 
-/// Solves every owned line along dimension `d` of a locally complete
-/// array: dimension d must be collapsed (fully local).
-void solve_local_lines(rt::DistArray<double>& v, int d, int me) {
-  const int other = 1 - d;
-  const auto lines = v.distribution().owned_in_dim(me, other);
-  const dist::Range r = v.distribution().domain().dim(d);
-  std::vector<double> line(static_cast<std::size_t>(r.size()));
-  for (Index fixed : lines) {
-    IndexVec idx{0, 0};
-    idx[other] = fixed;
-    for (Index k = r.lo; k <= r.hi; ++k) {
-      idx[d] = k;
-      line[static_cast<std::size_t>(k - r.lo)] = v.at(idx);
-    }
-    tridiag(line);
-    for (Index k = r.lo; k <= r.hi; ++k) {
-      idx[d] = k;
-      v.at(idx) = line[static_cast<std::size_t>(k - r.lo)];
-    }
-  }
-}
-
 AdiResult run_dynamic(msg::Context& ctx, const AdiConfig& cfg) {
   rt::Env env(ctx);
   rt::DistArray<double> v(
@@ -210,6 +188,26 @@ AdiResult run_two_copies(msg::Context& ctx, const AdiConfig& cfg) {
 }
 
 }  // namespace
+
+void solve_local_lines(rt::DistArray<double>& v, int d, int me) {
+  const int other = 1 - d;
+  const auto lines = v.distribution().owned_in_dim(me, other);
+  const dist::Range r = v.distribution().domain().dim(d);
+  std::vector<double> line(static_cast<std::size_t>(r.size()));
+  for (Index fixed : lines) {
+    IndexVec idx{0, 0};
+    idx[other] = fixed;
+    for (Index k = r.lo; k <= r.hi; ++k) {
+      idx[d] = k;
+      line[static_cast<std::size_t>(k - r.lo)] = v.at(idx);
+    }
+    tridiag(line);
+    for (Index k = r.lo; k <= r.hi; ++k) {
+      idx[d] = k;
+      v.at(idx) = line[static_cast<std::size_t>(k - r.lo)];
+    }
+  }
+}
 
 const char* to_string(AdiStrategy s) {
   switch (s) {
