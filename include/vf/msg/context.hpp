@@ -154,7 +154,9 @@ class Context {
   /// and returns immediately.  Counted as one data message.
   void send_bytes(int dest, int tag, std::span<const std::byte> payload);
 
-  /// Blocking receive matching (src, tag); src may be kAnySource.
+  /// Blocking receive matching (src, tag); src may be kAnySource.  Every
+  /// receive throws std::out_of_range for any other src outside
+  /// [0, nprocs()) -- no message could ever match it.
   [[nodiscard]] std::vector<std::byte> recv_bytes(int src, int tag);
 
   /// Blocking receive that also reports the sender (useful with
@@ -245,6 +247,8 @@ class Context {
   }
 
   /// Broadcast a vector from `root`; non-root input values are ignored.
+  /// A root outside [0, nprocs()) throws std::invalid_argument on every
+  /// rank before any tag is consumed, so later collectives still match.
   ///
   /// Binomial tree: the payload fans out over ceil(log2 P) rounds, so no
   /// rank (in particular not the root) sends more than ceil(log2 P)
@@ -252,6 +256,7 @@ class Context {
   /// the O(alpha P) a root-serialized broadcast costs.
   template <detail::TriviallySendable T>
   [[nodiscard]] std::vector<T> broadcast_vec(std::vector<T> v, int root = 0) {
+    check_root(root);
     const int tag = next_coll_tag();
     stats().collectives++;
     if (lockstep_on()) {
@@ -290,11 +295,11 @@ class Context {
   /// messages through rank 0.)  Reduction order is the binomial-tree
   /// combine order, deterministic for a given P.
   ///
-  /// The fan-in receives each contribution into a persistent lane of the
-  /// context's collective scratch and the broadcast phase fills `v`
-  /// directly (its length is SPMD-agreed), so a warm replay -- every
-  /// reduction after the first of a given element size -- performs no
-  /// heap allocation (the collective_scratch_stats() counters CI gates).
+  /// The fan-in receives each contribution into the context's persistent
+  /// collective lane and the broadcast phase fills `v` directly (its
+  /// length is SPMD-agreed), so a warm replay -- every reduction no
+  /// larger in bytes than one already seen -- performs no heap
+  /// allocation (the collective_scratch_stats() counters CI gates).
   template <detail::TriviallySendable T>
   void allreduce_inplace(std::span<T> v, ReduceOp op) {
     const int reduce_tag = next_coll_tag();
@@ -317,14 +322,13 @@ class Context {
       }
       const int src = rank_ + mask;
       if (src < np) {
-        // One single-peer lane per element size: the contribution buffer
-        // that replaces the per-receive bytes_to_vector allocation.
-        ExchangeLane& lane = coll_scratch_.lane(sizeof(T));
+        // The single-peer fan-in lane: the contribution buffer that
+        // replaces the per-receive bytes_to_vector allocation.
         const std::uint64_t n = v.size();
-        lane.prepare(std::span<const std::uint64_t>(&n, 1),
-                     std::span<const std::uint64_t>(&n, 1));
-        recv_bytes_into(src, reduce_tag, lane.recv_bytes(0));
-        const std::span<const T> contrib = lane.recv<T>(0);
+        coll_lane_.prepare(std::span<const std::uint64_t>(&n, 1),
+                           std::span<const std::uint64_t>(&n, 1), sizeof(T));
+        recv_bytes_into(src, reduce_tag, coll_lane_.recv_bytes(0));
+        const std::span<const T> contrib = coll_lane_.recv<T>(0);
         for (std::size_t i = 0; i < v.size(); ++i) {
           v[i] = detail::apply_op(op, v[i], contrib[i]);
         }
@@ -417,67 +421,42 @@ class Context {
   /// Personalized all-to-all with pre-agreed counts: like alltoallv, but
   /// every rank already knows how many elements to expect from every peer
   /// (expected[s] = elements arriving from rank s), so the count-exchange
-  /// collective is skipped entirely.  This is the executor-side transport
-  /// of inspector/executor schedules and cached redistribution plans: the
-  /// inspector established the counts once, and every replay pays only the
-  /// value messages.
+  /// collective is skipped entirely.  A thin adapter over the one counted
+  /// exchange: `out` is packed into a lane that lives for this call, and
+  /// each arriving payload is copied straight into its result slot (under
+  /// the shared-memory transport, out of the peer's lane).
   ///
   /// The counts are a hard protocol precondition (as with MPI counted
-  /// receives): a non-zero payload whose size disagrees with the expected
-  /// count raises an error below, but if a sender holds ZERO elements for
-  /// a peer expecting more, no message travels and the receiver blocks in
-  /// recv -- the same failure mode as mismatched MPI counts.  Callers must
-  /// derive both sides from one deterministic computation (a RunPlan or
-  /// Schedule inspector), never from independent guesses.
+  /// receives); see alltoallv_known_into.  Callers must derive both sides
+  /// from one deterministic computation (a RunPlan or Schedule inspector,
+  /// or alltoallv's count exchange), never from independent guesses.
   template <detail::TriviallySendable T>
   [[nodiscard]] std::vector<std::vector<T>> alltoallv_known(
       std::vector<std::vector<T>> out,
       std::span<const std::uint64_t> expected) {
-    const int np = nprocs();
-    if (static_cast<int>(out.size()) != np ||
-        static_cast<int>(expected.size()) != np) {
+    const auto np = static_cast<std::size_t>(nprocs());
+    if (out.size() != np || expected.size() != np) {
       throw std::invalid_argument(
           "alltoallv_known: out/expected size != nprocs()");
     }
-    const int tag = next_coll_tag();
-    stats().collectives++;
-    if (lockstep_on()) {
-      auto& c = lockstep_counts();
-      for (int d = 0; d < np; ++d) {
-        c[static_cast<std::size_t>(d)] =
-            out[static_cast<std::size_t>(d)].size() * sizeof(T);
+    std::vector<std::uint64_t> counts(np);
+    for (std::size_t d = 0; d < np; ++d) counts[d] = out[d].size();
+    ExchangeLane lane;
+    lane.prepare(counts, expected, sizeof(T));
+    for (std::size_t d = 0; d < np; ++d) {
+      if (!out[d].empty()) {
+        std::memcpy(lane.send_bytes(static_cast<int>(d)).data(),
+                    out[d].data(), out[d].size() * sizeof(T));
       }
-      for (int s = 0; s < np; ++s) {
-        c[static_cast<std::size_t>(np + s)] =
-            expected[static_cast<std::size_t>(s)] * sizeof(T);
-      }
-      lockstep_record_counted(LockstepOp::Alltoallv, tag,
-                              static_cast<std::uint32_t>(sizeof(T)));
     }
-    std::vector<std::vector<T>> in(static_cast<std::size_t>(np));
-    in[static_cast<std::size_t>(rank_)] =
-        std::move(out[static_cast<std::size_t>(rank_)]);
-    for (int d = 0; d < np; ++d) {
-      if (d == rank_) continue;
-      const auto& payload = out[static_cast<std::size_t>(d)];
-      if (payload.empty()) continue;
-      send_bytes(d, tag, std::as_bytes(std::span<const T>(payload)));
-    }
-    for (int s = 0; s < np; ++s) {
-      if (s == rank_ || expected[static_cast<std::size_t>(s)] == 0) continue;
-      // Size the result slot up front and receive straight into it: the
-      // counted receive enforces the pre-agreed size, and no intermediate
-      // bytes_to_vector allocation is made per peer.
-      auto& slot = in[static_cast<std::size_t>(s)];
-      slot.resize(static_cast<std::size_t>(expected[static_cast<std::size_t>(s)]));
-      recv_bytes_into(s, tag, std::as_writable_bytes(std::span<T>(slot)));
-    }
-    if (in[static_cast<std::size_t>(rank_)].size() !=
-        expected[static_cast<std::size_t>(rank_)]) {
-      throw std::runtime_error(
-          "alltoallv_known: received payload size does not match the "
-          "pre-agreed count");
-    }
+    out = {};
+    std::vector<std::vector<T>> in(np);
+    for (std::size_t s = 0; s < np; ++s) in[s].resize(expected[s]);
+    end_exchange(lane, begin_exchange(lane),
+                 [&](int s, std::span<const std::byte> bytes) {
+                   std::memcpy(in[static_cast<std::size_t>(s)].data(),
+                               bytes.data(), bytes.size());
+                 });
     return in;
   }
 
@@ -491,10 +470,11 @@ class Context {
   ///
   /// This is the executor-replay transport: a warmed-up replay (cached
   /// redistribution RunPlan, PARTI executor, halo exchange) allocates
-  /// nothing on either side of the exchange.  The count precondition of
-  /// alltoallv_known applies unchanged: both ranks' lane geometries must
-  /// come from one deterministic inspector product, and a zero-size send
-  /// a peer expects data for blocks that peer in recv.
+  /// nothing on either side of the exchange.  The counts are a hard
+  /// protocol precondition: both ranks' lane geometries must come from
+  /// one deterministic inspector product.  A payload whose size disagrees
+  /// with the receiver's count raises an error, but a zero-size send a
+  /// peer expects data for blocks that peer in its receive.
   void alltoallv_known_into(ExchangeLane& lane);
 
   // ---- split-phase counted exchange ---------------------------------------
@@ -508,7 +488,8 @@ class Context {
   /// untouched until end_exchange() returns.
   ///
   /// Counts as one collective; the count precondition of
-  /// alltoallv_known_into applies unchanged.
+  /// alltoallv_known_into applies unchanged.  Every counted exchange of a
+  /// Context -- alltoallv included -- goes through here.
   [[nodiscard]] int begin_exchange(ExchangeLane& lane);
 
   /// Completes a split-phase exchange: copies the local slot send->recv,
@@ -528,29 +509,31 @@ class Context {
     end_exchange_impl(lane, tag, c);
   }
 
-  /// Counters of the persistent scratch behind the allocation-free
-  /// collectives (allreduce / allreduce_vec / allreduce_inplace): after
-  /// one warmup reduction per element size, grow_allocs stays flat
-  /// across replays -- the collectives-side analogue of the executor
+  /// Counters of the persistent lane behind the allocation-free
+  /// collectives (allreduce / allreduce_vec / allreduce_inplace): once a
+  /// warmup reduction has seen the largest byte size, grow_allocs stays
+  /// flat across replays -- the collectives-side analogue of the executor
   /// allocs_per_replay == 0 contract.
-  [[nodiscard]] const ExchangeScratch::Stats& collective_scratch_stats()
+  [[nodiscard]] const ExchangeLane::Stats& collective_scratch_stats()
       const noexcept {
-    return coll_scratch_.stats();
+    return coll_lane_.stats();
   }
-  void reset_collective_scratch_stats() noexcept {
-    coll_scratch_.reset_stats();
-  }
+  void reset_collective_scratch_stats() noexcept { coll_lane_.reset_stats(); }
 
  private:
   /// Control-plane send: same transport, separate accounting.
   void send_ctl_bytes(int dest, int tag, std::span<const std::byte> payload);
 
+  /// Argument checks: a receive's source rank, a broadcast's root.
+  void check_src(const char* op, int src) const;
+  void check_root(int root) const;
+
   // ---- lockstep checker plumbing ------------------------------------------
   // One relaxed load when disarmed; when armed, each collective records
-  // its signature (and, for counted exchanges, its per-peer byte
-  // geometry) with the machine's LockstepChecker at op ENTRY -- before
-  // any byte moves -- so divergence throws here, deterministically,
-  // instead of hanging in a receive.
+  // its signature (and, for the counted exchange, its per-peer byte
+  // geometry; see begin_exchange) with the machine's LockstepChecker at
+  // op ENTRY -- before any byte moves -- so divergence throws here,
+  // deterministically, instead of hanging in a receive.
 
   [[nodiscard]] bool lockstep_on() const noexcept {
     return m_->lockstep_check();
@@ -562,27 +545,6 @@ class Context {
     const std::uint64_t note = lockstep_note_ ^ extra;
     lockstep_note_ = 0;
     m_->lockstep().record(rank_, op, tag, elem, note, {}, {});
-  }
-
-  /// Records a counted collective whose per-peer byte geometry the
-  /// caller staged in lockstep_counts() ([0,np) out, [np,2np) in).
-  void lockstep_record_counted(LockstepOp op, int tag, std::uint32_t elem,
-                               std::uint64_t extra = 0) {
-    const std::uint64_t note = lockstep_note_ ^ extra;
-    lockstep_note_ = 0;
-    const auto np = static_cast<std::size_t>(nprocs());
-    m_->lockstep().record(
-        rank_, op, tag, elem, note,
-        std::span<const std::uint64_t>(lockstep_counts_.data(), np),
-        std::span<const std::uint64_t>(lockstep_counts_.data() + np, np));
-  }
-
-  /// The count staging buffer: sized once per context (first armed
-  /// counted op), then reused -- no per-op allocation.
-  [[nodiscard]] std::vector<std::uint64_t>& lockstep_counts() {
-    const auto need = 2 * static_cast<std::size_t>(nprocs());
-    if (lockstep_counts_.size() != need) lockstep_counts_.assign(need, 0);
-    return lockstep_counts_;
   }
 
   /// Binomial-tree broadcast body shared by broadcast_vec and the
@@ -670,11 +632,11 @@ class Context {
   std::uint64_t coll_seq_ = 0;
   std::uint64_t lockstep_note_ = 0;
   std::vector<std::uint64_t> lockstep_counts_;
-  // Persistent fan-in buffers for the allocation-free collectives.  Its
-  // lanes only ever hold single-peer geometry (peers() == 1): reusing a
-  // lane across different peer counts would shrink-and-regrow the inner
+  // Persistent fan-in buffer for the allocation-free collectives.  It
+  // only ever holds single-peer geometry (peers() == 1): reusing it
+  // across different peer counts would shrink-and-regrow the inner
   // buffers and show up as spurious grow_allocs.
-  ExchangeScratch coll_scratch_;
+  ExchangeLane coll_lane_;
 };
 
 }  // namespace vf::msg

@@ -48,8 +48,7 @@ enum class LockstepOp : int {
   Broadcast,
   Allreduce,
   Allgather,
-  Alltoallv,  ///< counted all-to-all (alltoallv_known / _into)
-  Exchange,   ///< split-phase counted exchange (begin_exchange)
+  Exchange,  ///< the counted exchange (begin_exchange; alltoallv too)
 };
 
 [[nodiscard]] const char* to_string(LockstepOp op);

@@ -33,8 +33,9 @@ class Machine {
  public:
   /// Creates a machine with `nprocs` virtual processors.  nprocs >= 1.
   ///
-  /// `transport` selects how counted exchanges (alltoallv_known_into and
-  /// the split-phase begin/end_exchange pair) move lane buffers:
+  /// `transport` selects how the counted exchange (the begin/end_exchange
+  /// pair, which alltoallv and alltoallv_known_into run too) moves lane
+  /// buffers:
   ///
   ///   * TransportKind::Mailbox (default) -- every payload serializes
   ///     into a mailbox frame through deliver(), carrying the full

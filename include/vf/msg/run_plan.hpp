@@ -292,8 +292,10 @@ void walk_runs(const RunSide& side, int peer, S* storage, B* buf,
 /// prepared lane with that peer's runs of `storage`, in order.
 void pack(const RunSide& side, const std::byte* storage, ExchangeLane& lane);
 
-/// Sizes the lane for the plan's counts and packs its pack side.
-void pack(const RunPlan& plan, const std::byte* storage, ExchangeLane& lane);
+/// Sizes the lane for the plan's counts of `elem_size`-byte elements and
+/// packs its pack side.
+void pack(const RunPlan& plan, const std::byte* storage, std::size_t elem_size,
+          ExchangeLane& lane);
 
 /// Executor, receive half: copies `payload` into `storage` along peer
 /// `peer`'s runs of `side`.

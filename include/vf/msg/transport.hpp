@@ -1,8 +1,9 @@
 // The pluggable transport layer under counted exchanges.
 //
-// Every counted exchange (alltoallv_known_into and the split-phase
-// begin_exchange / end_exchange pair built on it) moves ExchangeLane
-// buffers between ranks.  HOW those bytes move is a Transport decision:
+// The one counted exchange -- the split-phase begin_exchange /
+// end_exchange pair, which alltoallv_known_into and the vector
+// alltoallv / alltoallv_known also run -- moves ExchangeLane buffers
+// between ranks.  HOW those bytes move is a Transport decision:
 //
 //   * MailboxTransport (the default) serializes every payload into a
 //     mailbox frame through Machine::deliver -- the fully metered path
@@ -15,8 +16,9 @@
 //     lane and unpack out of the peer's lane -- with no frame
 //     serialization, no queueing and no intermediate copy.
 //
-// Only counted exchanges ride the transport.  Point-to-point sends,
-// collectives and control traffic always travel through Machine::deliver,
+// Only counted exchanges ride the transport.  Point-to-point sends, the
+// other collectives (alltoallv's count allgather included) and control
+// traffic always travel through Machine::deliver,
 // so frame integrity, fault injection and the abort fence stay effective
 // under either transport; the shared-memory rendezvous waits are
 // fence-registered and watchdog-aware themselves, so a RankAbort fires

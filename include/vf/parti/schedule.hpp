@@ -20,8 +20,11 @@
 // binding holds its storage offsets in that side's run shape, and
 // zip_runs copies between the two directly while the exchange is in
 // flight.  With counts agreed at inspector
-// time and persistent scratch, a warmed-up replay does no index
-// arithmetic, no count collective and no heap allocation.  The own slot
+// time and the schedule's one persistent byte lane, a warmed-up replay
+// does no index arithmetic, no count collective and no heap allocation.
+// That holds for the all-to-owner path only: the executors of a hybrid
+// (SkewConfig) schedule allocate on every call, for their allgather_vec
+// of the replicated values and the value vectors around it.  The own slot
 // goes first, then peers in ascending rank order, which fixes the order
 // of conflicting scatter writes.  This makes the inspector cost
 // amortizable (bench E7), as in the PIC of Section 4.
@@ -138,17 +141,16 @@ class Schedule {
     check_size(out.size());
     const Binding& bound = bind(src);
     const T* data = src.local_span().data();
-    // Scratch lanes are keyed by element size: one schedule may alternate
+    // One byte lane serves every element type: a schedule may alternate
     // double and int arrays through its binding cache.
-    msg::ExchangeLane& lane = scratch_.lane(sizeof(T));
-    lane.prepare(bound.storage.counts, buffer_.counts);
-    msg::pack(bound.storage, reinterpret_cast<const std::byte*>(data), lane);
+    lane_.prepare(bound.storage.counts, buffer_.counts, sizeof(T));
+    msg::pack(bound.storage, reinterpret_cast<const std::byte*>(data), lane_);
     auto* dst = reinterpret_cast<std::byte*>(out.data());
     ctx.lockstep_note(lockstep_note(Executor::Gather));
-    const int tag = ctx.begin_exchange(lane);
+    const int tag = ctx.begin_exchange(lane_);
     msg::zip_runs(bound.own, data, own_, out.data(),
                   [](const T& s, T& o) { o = s; });
-    ctx.end_exchange(lane, tag, [&](int p, std::span<const std::byte> b) {
+    ctx.end_exchange(lane_, tag, [&](int p, std::span<const std::byte> b) {
       msg::unpack(buffer_, p, b, dst, sizeof(T));
       for (const Dup& d : dups_[p]) {
         std::memcpy(&out[d.pos], b.data() + d.slot * sizeof(T), sizeof(T));
@@ -255,11 +257,10 @@ class Schedule {
     // packed slot in request order; scatter_add starts each remote slot
     // from a zero it adds x to, the zero-filled sum bit for bit (signed
     // zeros too).
-    msg::ExchangeLane& lane = scratch_.lane(sizeof(T));
-    lane.prepare(buffer_.counts, bound.storage.counts);
-    msg::pack(buffer_, reinterpret_cast<const std::byte*>(in.data()), lane);
+    lane_.prepare(buffer_.counts, bound.storage.counts, sizeof(T));
+    msg::pack(buffer_, reinterpret_cast<const std::byte*>(in.data()), lane_);
     for (int p = 0; p < ctx.nprocs(); ++p) {
-      const std::span<T> buf = lane.send<T>(p);
+      const std::span<T> buf = lane_.send<T>(p);
       if (accumulate) {
         for (T& v : buf) {
           T zero{};
@@ -273,7 +274,7 @@ class Schedule {
     }
     T* data = dst.local_span().data();
     ctx.lockstep_note(lockstep_note(op));
-    const int tag = ctx.begin_exchange(lane);
+    const int tag = ctx.begin_exchange(lane_);
     if (accumulate) {
       msg::zip_runs(own_, in.data(), bound.own, data,
                     [](const T& x, T& s) { s += x; });
@@ -281,7 +282,7 @@ class Schedule {
       msg::zip_runs(own_, in.data(), bound.own, data,
                     [](const T& x, T& s) { s = x; });
     }
-    ctx.end_exchange(lane, tag, [&](int p, std::span<const std::byte> b) {
+    ctx.end_exchange(lane_, tag, [&](int p, std::span<const std::byte> b) {
       if (accumulate) {
         msg::accumulate(bound.storage, p, b, data);
       } else {
@@ -359,15 +360,15 @@ class Schedule {
   void set_binding_budget(std::size_t max_bytes) {
     bindings_.set_max_bytes(max_bytes);
   }
-  /// Executor exchange-scratch counters (prepares == executor calls that
-  /// exchanged data; grow_allocs == heap allocations the scratch arena
+  /// Executor exchange-lane counters (prepares == executor calls that
+  /// exchanged data; grow_allocs == heap allocations the lane
   /// performed).  A warmed-up replay loop holds grow_allocs flat -- the
   /// allocs_per_replay == 0 steady state bench_parti gates.
-  [[nodiscard]] const msg::ExchangeScratch::Stats& scratch_stats()
+  [[nodiscard]] const msg::ExchangeLane::Stats& scratch_stats()
       const noexcept {
-    return scratch_.stats();
+    return lane_.stats();
   }
-  void reset_scratch_stats() const noexcept { scratch_.reset_stats(); }
+  void reset_scratch_stats() const noexcept { lane_.reset_stats(); }
 
  private:
   /// Translates the served and own-slot index points into the storage
@@ -475,10 +476,10 @@ class Schedule {
   mutable core::LruCache<std::uint64_t, Binding> bindings_{
       kBindingCapacity, kDefaultBindingBudgetBytes};
 
-  // Persistent executor exchange scratch: per-element-size send/combine
-  // and receive buffers shared by gather, scatter and scatter_add.
+  // Persistent executor exchange lane: the send/combine and receive
+  // bytes of gather, scatter and scatter_add, whatever the element type.
   // Warmed-up executor replays perform no heap allocation.
-  mutable msg::ExchangeScratch scratch_;
+  mutable msg::ExchangeLane lane_;
 };
 
 }  // namespace vf::parti

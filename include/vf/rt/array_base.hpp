@@ -392,18 +392,16 @@ class DistArrayBase {
     return SplitMargins{ghost_lo_, ghost_hi_};
   }
 
-  /// Counters of this array's exchange scratch (shared by DISTRIBUTE
+  /// Counters of this array's exchange lane (shared by DISTRIBUTE
   /// replay and exchange_overlap): prepares == replays that moved data
-  /// through the facility, grow_allocs == heap allocations it performed.
-  /// A warmed-up replay loop holds grow_allocs flat -- the
+  /// through it, grow_allocs == heap allocations it performed.  A
+  /// warmed-up replay loop holds grow_allocs flat -- the
   /// allocs_per_replay == 0 steady state bench_pic/bench_halo gate.
-  [[nodiscard]] const msg::ExchangeScratch::Stats& exchange_scratch_stats()
+  [[nodiscard]] const msg::ExchangeLane::Stats& exchange_scratch_stats()
       const noexcept {
-    return exch_scratch_.stats();
+    return lane_.stats();
   }
-  void reset_exchange_scratch_stats() const noexcept {
-    exch_scratch_.reset_stats();
-  }
+  void reset_exchange_scratch_stats() const noexcept { lane_.reset_stats(); }
 
   // ---- skew-aware redistribution (PRPD hybrid plans) ----------------------
   //
@@ -756,11 +754,10 @@ class DistArrayBase {
   int pending_exchange_tag_ = 0;
   std::shared_ptr<const msg::RunPlan> pending_halo_plan_;
 
-  // Persistent exchange scratch shared by every executor replay this
-  // array performs (cached DISTRIBUTE data motion, halo exchange): one
-  // element-size lane, per-peer send/recv buffers that survive across
-  // calls.
-  mutable msg::ExchangeScratch exch_scratch_;
+  // Persistent exchange lane shared by every executor replay this array
+  // performs (cached DISTRIBUTE data motion, halo exchange): per-peer
+  // send/recv buffers that survive across calls.
+  mutable msg::ExchangeLane lane_;
 
   // Skew-aware redistribution state: the per-array policy and knobs, the
   // per-(old,new)-uid-pair memo of hybridization decisions (a null handle

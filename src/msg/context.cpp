@@ -1,6 +1,8 @@
 #include "vf/msg/context.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace vf::msg {
 
@@ -28,11 +30,28 @@ void Context::send_ctl_bytes(int dest, int tag,
               {payload.begin(), payload.end()});
 }
 
+void Context::check_src(const char* op, int src) const {
+  if (src != kAnySource && (src < 0 || src >= nprocs())) {
+    throw std::out_of_range(std::string(op) + ": bad source rank " +
+                            std::to_string(src));
+  }
+}
+
+void Context::check_root(int root) const {
+  if (root < 0 || root >= nprocs()) {
+    throw std::invalid_argument("broadcast: root " + std::to_string(root) +
+                                " outside [0, P) with P = " +
+                                std::to_string(nprocs()));
+  }
+}
+
 std::vector<std::byte> Context::recv_bytes(int src, int tag) {
+  check_src("recv_bytes", src);
   return m_->mailbox(rank_).pop(src, tag).payload;
 }
 
 void Context::recv_bytes_into(int src, int tag, std::span<std::byte> dst) {
+  check_src("recv_bytes_into", src);
   const Message m = m_->mailbox(rank_).pop(src, tag);
   if (m.payload.size() != dst.size()) {
     throw std::runtime_error(
@@ -40,27 +59,6 @@ void Context::recv_bytes_into(int src, int tag, std::span<std::byte> dst) {
   }
   if (!dst.empty()) std::memcpy(dst.data(), m.payload.data(), dst.size());
 }
-
-namespace {
-
-/// The default end_exchange consumer: fills lane.recv(peer).  When the
-/// transport already received in place (mailbox: `bytes` IS the lane's
-/// recv buffer) the copy is skipped; when `bytes` aliases the peer's send
-/// buffer (shared memory) this memcpy is the entire receive-side cost.
-class LaneFillConsumer final : public PeerConsumer {
- public:
-  explicit LaneFillConsumer(ExchangeLane& lane) : lane_(&lane) {}
-  void consume(int peer, std::span<const std::byte> bytes) override {
-    const auto dst = lane_->recv_bytes(peer);
-    if (bytes.data() == dst.data() || bytes.empty()) return;
-    std::memcpy(dst.data(), bytes.data(), bytes.size());
-  }
-
- private:
-  ExchangeLane* lane_;
-};
-
-}  // namespace
 
 int Context::begin_exchange(ExchangeLane& lane) {
   if (lane.peers() != nprocs()) {
@@ -70,13 +68,19 @@ int Context::begin_exchange(ExchangeLane& lane) {
   const int tag = next_coll_tag();
   stats().collectives++;
   if (lockstep_on()) {
-    auto& c = lockstep_counts();
+    // The per-peer byte geometry ([0,np) out, [np,2np) in) joins the
+    // signature; the staging buffer is sized once, then reused.
     const auto np = static_cast<std::size_t>(nprocs());
+    auto& c = lockstep_counts_;
+    c.resize(2 * np);
     for (std::size_t p = 0; p < np; ++p) {
       c[p] = lane.send_bytes(static_cast<int>(p)).size();
       c[np + p] = lane.recv_bytes(static_cast<int>(p)).size();
     }
-    lockstep_record_counted(LockstepOp::Exchange, tag, 1);
+    m_->lockstep().record(rank_, LockstepOp::Exchange, tag, 1,
+                          std::exchange(lockstep_note_, 0),
+                          std::span<const std::uint64_t>(c.data(), np),
+                          std::span<const std::uint64_t>(c.data() + np, np));
   }
   m_->transport().begin(*this, lane, tag);
   // The lane now has publications in flight: if this rank unwinds before
@@ -87,8 +91,16 @@ int Context::begin_exchange(ExchangeLane& lane) {
 }
 
 void Context::end_exchange(ExchangeLane& lane, int tag) {
-  LaneFillConsumer fill(lane);
-  end_exchange_impl(lane, tag, fill);
+  // Fill lane.recv(peer).  When the transport already received in place
+  // (mailbox: `bytes` IS the lane's recv buffer) the copy is skipped;
+  // when `bytes` aliases the peer's send buffer (shared memory) this
+  // memcpy is the entire receive-side cost.
+  end_exchange(lane, tag, [&lane](int peer, std::span<const std::byte> bytes) {
+    const auto dst = lane.recv_bytes(peer);
+    if (bytes.data() != dst.data()) {
+      std::memcpy(dst.data(), bytes.data(), bytes.size());
+    }
+  });
 }
 
 void Context::end_exchange_impl(ExchangeLane& lane, int tag,
@@ -117,6 +129,7 @@ void Context::alltoallv_known_into(ExchangeLane& lane) {
 }
 
 Message Context::recv_msg(int src, int tag) {
+  check_src("recv_msg", src);
   return m_->mailbox(rank_).pop(src, tag);
 }
 

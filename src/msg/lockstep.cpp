@@ -16,8 +16,6 @@ const char* to_string(LockstepOp op) {
       return "allreduce";
     case LockstepOp::Allgather:
       return "allgather";
-    case LockstepOp::Alltoallv:
-      return "alltoallv";
     case LockstepOp::Exchange:
       return "exchange";
   }

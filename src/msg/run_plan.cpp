@@ -135,8 +135,9 @@ void pack(const RunSide& side, const std::byte* storage, ExchangeLane& lane) {
   });
 }
 
-void pack(const RunPlan& plan, const std::byte* storage, ExchangeLane& lane) {
-  lane.prepare(plan.pack.counts, plan.unpack.counts);
+void pack(const RunPlan& plan, const std::byte* storage, std::size_t elem_size,
+          ExchangeLane& lane) {
+  lane.prepare(plan.pack.counts, plan.unpack.counts, elem_size);
   pack(plan.pack, storage, lane);
 }
 

@@ -417,8 +417,7 @@ void DistArrayBase::redistribute_data(dist::DistHandle nd) {
   auto& ctx = env_->comm();
   const std::shared_ptr<const msg::RunPlan> plan = redist_plan_for(nd);
   const std::size_t elem = element_size();
-  msg::ExchangeLane& lane = exch_scratch_.lane(elem);
-  msg::pack(*plan, storage_bytes(), lane);
+  msg::pack(*plan, storage_bytes(), elem, lane_);
 
   // Tag the exchange with the (old, new) distribution pair: a
   // lockstep-armed run reports WHICH flip diverged, not just that one
@@ -426,7 +425,7 @@ void DistArrayBase::redistribute_data(dist::DistHandle nd) {
   // sweep reclaims depends on each rank's cache contents, so the uid of
   // a re-interned descriptor may differ from rank to rank.
   ctx.lockstep_note(msg::mix64(dist_->fingerprint()) ^ nd->fingerprint());
-  ctx.alltoallv_known_into(lane);
+  ctx.alltoallv_known_into(lane_);
 
   // Install the new distribution only now, then unpack.  The plan writes
   // every owned element of the new layout exactly once, so storage with
@@ -434,8 +433,8 @@ void DistArrayBase::redistribute_data(dist::DistHandle nd) {
   install_distribution(std::move(nd), /*keep_storage=*/false,
                        /*owned_written=*/true);
   std::byte* dst = storage_bytes();
-  for (int p = 0; p < lane.peers(); ++p) {
-    msg::unpack(*plan, p, lane.recv_bytes(p), dst, elem);
+  for (int p = 0; p < lane_.peers(); ++p) {
+    msg::unpack(*plan, p, lane_.recv_bytes(p), dst, elem);
   }
 }
 
@@ -453,11 +452,10 @@ void DistArrayBase::begin_exchange_overlap() {
   // lazy allgather) and key on it unless it turned out uniform.
   std::shared_ptr<const msg::RunPlan> plan = lookup_halo_plan();
 
-  // Send half: pack into the array's exchange scratch (the same lane
-  // DISTRIBUTE replay uses, so a repeat exchange performs no heap
-  // allocation), then hand the lane to the active transport.
-  msg::ExchangeLane& lane = exch_scratch_.lane(element_size());
-  msg::pack(*plan, storage_bytes(), lane);
+  // Send half: pack into the array's exchange lane (the one DISTRIBUTE
+  // replay uses, so a repeat exchange performs no heap allocation), then
+  // hand the lane to the active transport.
+  msg::pack(*plan, storage_bytes(), element_size(), lane_);
 
   // Tag the exchange with the (array, distribution) identity so a
   // lockstep-armed run names which array's ghost exchange diverged.  The
@@ -471,7 +469,7 @@ void DistArrayBase::begin_exchange_overlap() {
     note = msg::mix64(note ^ static_cast<unsigned char>(c));
   }
   env_->comm().lockstep_note(note);
-  pending_exchange_tag_ = env_->comm().begin_exchange(lane);
+  pending_exchange_tag_ = env_->comm().begin_exchange(lane_);
   pending_halo_plan_ = std::move(plan);
   exchange_in_flight_ = true;
 }
@@ -481,7 +479,6 @@ void DistArrayBase::end_exchange_overlap() {
   const std::shared_ptr<const msg::RunPlan> plan =
       std::move(pending_halo_plan_);
   const std::size_t elem = element_size();
-  msg::ExchangeLane& lane = exch_scratch_.lane(elem);
   std::byte* dst = storage_bytes();
   // Receive half: scatter each arriving payload straight into the ghost
   // planes along that peer's unpack runs.  Under the shared-memory
@@ -489,7 +486,7 @@ void DistArrayBase::end_exchange_overlap() {
   // transfer is pack memcpy + this scatter, no intermediate frame; under
   // the mailbox transport it is this lane's already-filled recv buffer.
   env_->comm().end_exchange(
-      lane, pending_exchange_tag_,
+      lane_, pending_exchange_tag_,
       [&](int peer, std::span<const std::byte> bytes) {
         msg::unpack(*plan, peer, bytes, dst, elem);
       });

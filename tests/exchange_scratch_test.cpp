@@ -1,9 +1,9 @@
-// Tests for the shared exchange-scratch facility (msg::ExchangeScratch /
+// Tests for the exchange lane (msg::ExchangeLane /
 // Context::alltoallv_known_into) and the allocation-free executor replays
 // built on it: PARTI gather/scatter/scatter_add, cached DISTRIBUTE
 // replay, and halo exchange all draw their serve/combine/receive buffers
-// from persistent per-owner arenas, so a warmed-up replay performs no
-// heap allocation -- asserted here through the arena's grow_allocs
+// from one persistent byte lane per owner, so a warmed-up replay performs
+// no heap allocation -- asserted here through the lane's grow_allocs
 // counter -- while interleaved paths and alternating element types must
 // never observe each other's scratch contents.
 #include <gtest/gtest.h>
@@ -25,102 +25,90 @@ using dist::IndexDomain;
 using dist::IndexVec;
 using msg::Context;
 using msg::ExchangeLane;
-using msg::ExchangeScratch;
 using parti::Schedule;
 using rt::DistArray;
 using rt::Env;
 using testing::run_checked;
 using testing::SpmdChecker;
 
-TEST(ExchangeScratchUnit, LanesAreKeyedByElementSize) {
-  ExchangeScratch arena;
-  ExchangeLane& d8 = arena.lane(8);
-  ExchangeLane& d4 = arena.lane(4);
-  EXPECT_EQ(arena.n_lanes(), 2u);
-  EXPECT_EQ(&arena.lane(8), &d8);
-  EXPECT_EQ(&arena.lane(4), &d4);
-  EXPECT_EQ(arena.n_lanes(), 2u);
-  EXPECT_EQ(d8.elem_size(), 8u);
-  EXPECT_THROW((void)arena.lane(0), std::invalid_argument);
-}
-
-TEST(ExchangeScratchUnit, PrepareSizesBuffers) {
-  ExchangeScratch arena;
-  ExchangeLane& lane = arena.lane(sizeof(double));
+TEST(ExchangeLaneUnit, PrepareSizesBuffers) {
+  ExchangeLane lane;
+  EXPECT_EQ(lane.elem_size(), 0u);
   const std::vector<std::uint64_t> snd = {3, 0, 2};
   const std::vector<std::uint64_t> rcv = {1, 4, 0};
-  lane.prepare(snd, rcv);
+  lane.prepare(snd, rcv, sizeof(double));
+  EXPECT_EQ(lane.elem_size(), sizeof(double));
   EXPECT_EQ(lane.peers(), 3);
   EXPECT_EQ(lane.send<double>(0).size(), 3u);
   EXPECT_EQ(lane.send<double>(1).size(), 0u);
   EXPECT_EQ(lane.recv<double>(1).size(), 4u);
   EXPECT_EQ(lane.send_bytes(2).size(), 2 * sizeof(double));
-  EXPECT_THROW(lane.prepare(snd, std::vector<std::uint64_t>{1, 2}),
+  // The same lane re-sized for 4-byte elements: byte sizes follow.
+  lane.prepare(snd, rcv, sizeof(int));
+  EXPECT_EQ(lane.send_bytes(0).size(), 3 * sizeof(int));
+  EXPECT_EQ(lane.recv<int>(1).size(), 4u);
+  EXPECT_THROW(lane.prepare(snd, std::vector<std::uint64_t>{1, 2}, 8),
                std::invalid_argument);
+  EXPECT_THROW(lane.prepare(snd, rcv, 0), std::invalid_argument);
 }
 
-TEST(ExchangeScratchUnit, MoveRepointsLanesAndCopyStartsEmpty) {
-  // Schedules (and anything else holding an arena by value) are movable:
-  // the lanes' owner back-pointers must follow the arena, so counters
-  // land on the new owner and never write through a dead one.
-  ExchangeScratch a;
-  ExchangeLane& lane = a.lane(sizeof(int));
+TEST(ExchangeLaneUnit, CopyStartsEmptyAndMoveKeepsWarmBuffers) {
+  ExchangeLane a;
   const std::vector<std::uint64_t> cnt = {2, 2};
-  lane.prepare(cnt, cnt);
+  a.prepare(cnt, cnt, sizeof(int));
   const auto warm_allocs = a.stats().grow_allocs;
+  EXPECT_GT(warm_allocs, 0u);
 
-  ExchangeScratch b(std::move(a));
-  EXPECT_EQ(b.n_lanes(), 1u);
-  EXPECT_EQ(b.stats().grow_allocs, warm_allocs);
+  ExchangeLane b(std::move(a));
+  EXPECT_EQ(b.stats().grow_allocs, warm_allocs);  // counters travel too
+  EXPECT_EQ(a.stats().prepares, 0u);
   b.reset_stats();
-  b.lane(sizeof(int)).prepare(cnt, cnt);  // same lane object, warm
+  b.prepare(cnt, cnt, sizeof(int));  // the moved buffers are still warm
   EXPECT_EQ(b.stats().prepares, 1u);
   EXPECT_EQ(b.stats().grow_allocs, 0u);
 
-  ExchangeScratch c;
+  ExchangeLane c;
   c = std::move(b);
-  c.lane(sizeof(int)).prepare(cnt, cnt);
-  EXPECT_EQ(c.stats().prepares, 2u);  // counter travelled with the lanes
+  c.prepare(cnt, cnt, sizeof(int));
+  EXPECT_EQ(c.stats().prepares, 2u);
   EXPECT_EQ(c.stats().grow_allocs, 0u);
 
   // Copies start empty: scratch is transient replay state.  Both copy
-  // forms honor it -- assignment drops the destination's old lanes too.
-  const ExchangeScratch& cref = c;
-  ExchangeScratch d(cref);
-  EXPECT_EQ(d.n_lanes(), 0u);
+  // forms honor it -- assignment drops the destination's buffers too.
+  const ExchangeLane& cref = c;
+  ExchangeLane d(cref);
+  EXPECT_EQ(d.peers(), 0);
   EXPECT_EQ(d.stats().prepares, 0u);
-  ExchangeScratch e;
-  (void)e.lane(sizeof(double));
+  ExchangeLane e;
+  e.prepare(cnt, cnt, sizeof(double));
   e = cref;
-  EXPECT_EQ(e.n_lanes(), 0u);
+  EXPECT_EQ(e.peers(), 0);
   EXPECT_EQ(e.stats().grow_allocs, 0u);
 }
 
-TEST(ExchangeScratchUnit, RepeatPreparesAllocateNothing) {
-  ExchangeScratch arena;
-  ExchangeLane& lane = arena.lane(sizeof(int));
+TEST(ExchangeLaneUnit, RepeatPreparesAllocateNothing) {
+  ExchangeLane lane;
   const std::vector<std::uint64_t> big = {100, 0, 50, 7};
   const std::vector<std::uint64_t> small = {1, 1, 1, 1};
   // Warmup covers the loop's per-peer maximum envelope (peer 1 sends
   // nothing in `big` but one element in `small`).
-  lane.prepare(big, big);
-  lane.prepare(small, small);
-  EXPECT_GT(arena.stats().grow_allocs, 0u);
-  arena.reset_stats();
+  lane.prepare(big, big, sizeof(int));
+  lane.prepare(small, small, sizeof(int));
+  EXPECT_GT(lane.stats().grow_allocs, 0u);
+  lane.reset_stats();
   for (int k = 0; k < 20; ++k) {
-    lane.prepare(k % 2 ? big : small, k % 2 ? small : big);
+    lane.prepare(k % 2 ? big : small, k % 2 ? small : big, sizeof(int));
   }
-  EXPECT_EQ(arena.stats().grow_allocs, 0u);  // capacity is remembered
-  EXPECT_EQ(arena.stats().prepares, 20u);
+  EXPECT_EQ(lane.stats().grow_allocs, 0u);  // capacity is remembered
+  EXPECT_EQ(lane.stats().prepares, 20u);
   // Growing past the warmed-up maximum is (counted as) an allocation.
-  lane.prepare(std::vector<std::uint64_t>{200, 0, 0, 0}, big);
-  EXPECT_GT(arena.stats().grow_allocs, 0u);
+  lane.prepare(std::vector<std::uint64_t>{200, 0, 0, 0}, big, sizeof(int));
+  EXPECT_GT(lane.stats().grow_allocs, 0u);
 }
 
-TEST(ExchangeScratchUnit, AlltoallvKnownIntoMovesLaneContents) {
+TEST(ExchangeLaneUnit, AlltoallvKnownIntoMovesLaneContents) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
-    ExchangeScratch arena;
-    ExchangeLane& lane = arena.lane(sizeof(int));
+    ExchangeLane lane;
     // Rank r sends r*10+d to destination d, except nothing to rank 0
     // (exercising the empty-payload slots on both sides).
     std::vector<std::uint64_t> snd(4), rcv(4);
@@ -129,7 +117,7 @@ TEST(ExchangeScratchUnit, AlltoallvKnownIntoMovesLaneContents) {
       rcv[static_cast<std::size_t>(s)] = ctx.rank() ? 1 : 0;
     }
     for (int round = 0; round < 3; ++round) {
-      lane.prepare(snd, rcv);
+      lane.prepare(snd, rcv, sizeof(int));
       for (int d = 1; d < 4; ++d) {
         lane.send<int>(d)[0] = ctx.rank() * 10 + d + round;
       }
@@ -149,9 +137,10 @@ TEST(ExchangeScratchUnit, AlltoallvKnownIntoMovesLaneContents) {
 
 /// One schedule alternating element types: the binding cache serves a
 /// double array and an int array with the identical interned descriptor,
-/// and the scratch arena keeps one lane per element size, so alternating
-/// executor calls stay allocation-free after one warm round of each type.
-TEST(ExchangeScratchExec, AlternatingElementTypesReplayAllocationFree) {
+/// and the schedule's one byte lane keeps the capacity of the larger
+/// (double) geometry, so alternating executor calls stay allocation-free
+/// after one warm round of each type.
+TEST(ExchangeLaneExec, AlternatingElementTypesReplayAllocationFree) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
     const IndexDomain dom = IndexDomain::of_extents({64});
@@ -176,8 +165,8 @@ TEST(ExchangeScratchExec, AlternatingElementTypesReplayAllocationFree) {
 
     std::vector<double> dout(pts.size());
     std::vector<int> nout(pts.size());
-    s.gather(ctx, d, dout);  // warm the double lane
-    s.gather(ctx, n, nout);  // warm the int lane
+    s.gather(ctx, d, dout);  // warm the lane at the double geometry
+    s.gather(ctx, n, nout);  // and at the int geometry
     s.reset_scratch_stats();
     for (int round = 0; round < 5; ++round) {
       s.gather(ctx, d, dout);
@@ -199,7 +188,7 @@ TEST(ExchangeScratchExec, AlternatingElementTypesReplayAllocationFree) {
 /// bitwise-identical against a sequential reference.  Values are dyadic
 /// rationals, so floating-point addition is exact in every combine order
 /// and "bitwise identical" is a meaningful cross-implementation check.
-TEST(ExchangeScratchExec, ScatterAddDuplicateHeavyMatchesSequentialReference) {
+TEST(ExchangeLaneExec, ScatterAddDuplicateHeavyMatchesSequentialReference) {
   constexpr int kProcs = 4;
   constexpr Index kN = 48;
   constexpr int kReqs = 300;  // >> kN: heavy duplication per rank
@@ -260,11 +249,11 @@ TEST(ExchangeScratchExec, ScatterAddDuplicateHeavyMatchesSequentialReference) {
 /// Interleaved gather / scatter_add / halo-exchange replays: three replay
 /// paths with different per-peer geometries share lanes (the schedule's
 /// gather and scatter alternate send/recv sizes on one lane; the array's
-/// halo exchange and DISTRIBUTE replay share another arena).  Results
+/// halo exchange and DISTRIBUTE replay share another).  Results
 /// must stay correct every round -- scratch from one path leaking into
 /// another would corrupt values -- and the steady state allocates
 /// nothing.
-TEST(ExchangeScratchExec, InterleavedReplaysStayIsolatedAndAllocationFree) {
+TEST(ExchangeLaneExec, InterleavedReplaysStayIsolatedAndAllocationFree) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
     const IndexDomain dom = IndexDomain::of_extents({32});
@@ -335,9 +324,9 @@ TEST(ExchangeScratchExec, InterleavedReplaysStayIsolatedAndAllocationFree) {
 }
 
 /// Cached DISTRIBUTE replay draws pack/unpack buffers from the array's
-/// arena: after one flip in each direction, further flips allocate
+/// lane: after one flip in each direction, further flips allocate
 /// nothing in the facility and move the data correctly.
-TEST(ExchangeScratchExec, RedistributionReplayAllocationFree) {
+TEST(ExchangeLaneExec, RedistributionReplayAllocationFree) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
     DistArray<double> a(env, {.name = "A",

@@ -52,10 +52,9 @@ class LockstepSuite : public ::testing::TestWithParam<LockstepParam> {
 /// One symmetric alltoallv round, `count` doubles per peer.
 void ring_round(Context& ctx, SpmdChecker& ck, std::uint64_t count) {
   const int np = ctx.nprocs();
-  ExchangeScratch arena;
-  ExchangeLane& lane = arena.lane(sizeof(double));
+  ExchangeLane lane;
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(np), count);
-  lane.prepare(counts, counts);
+  lane.prepare(counts, counts, sizeof(double));
   for (int d = 0; d < np; ++d) {
     for (std::uint64_t i = 0; i < count; ++i) {
       lane.send<double>(d)[i] = ctx.rank() * 1000.0 + d + 0.25 * double(i);

@@ -2,7 +2,10 @@
 // collectives, statistics and the cost model.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "spmd_test_util.hpp"
 #include "vf/msg/context.hpp"
@@ -307,6 +310,68 @@ TEST(PointToPoint, RecvValueRejectsEmptyPayloadWithProtocolError) {
       }
     }
   });
+}
+
+/// A receive from a rank outside [0, P) other than kAnySource can never
+/// match, so every receive form throws std::out_of_range instead of
+/// blocking.  The watchdog turns a regression into a RankAbort, not a
+/// hang.
+TEST(PointToPoint, ReceivesRejectBadSourceRank) {
+  Machine m(3);
+  m.set_recv_watchdog(std::chrono::milliseconds(2000));
+  SpmdChecker ck;
+  msg::run_spmd(m, [&](Context& ctx) {
+    std::byte buf[4]{};
+    for (const int src : {ctx.nprocs(), -2}) {
+      const auto expect_oor = [&](const char* what, const auto& recv) {
+        try {
+          recv();
+          ck.fail(std::string(what) + ": expected out_of_range");
+        } catch (const std::out_of_range&) {
+        }
+      };
+      expect_oor("recv_bytes", [&] { (void)ctx.recv_bytes(src, 1); });
+      expect_oor("recv_bytes_into",
+                 [&] { ctx.recv_bytes_into(src, 1, std::span(buf)); });
+      expect_oor("recv_msg", [&] { (void)ctx.recv_msg(src, 1); });
+      expect_oor("recv", [&] { (void)ctx.recv<int>(src, 1); });
+      expect_oor("recv_value", [&] { (void)ctx.recv_value<int>(src, 1); });
+    }
+  });
+  ck.expect_clean();
+}
+
+/// A broadcast root outside [0, P) throws std::invalid_argument naming
+/// the root and P on every rank, before any tag is consumed: the next
+/// collectives still match.
+TEST(Collectives, BroadcastRejectsBadRootOnEveryRank) {
+  Machine m(4);
+  m.set_recv_watchdog(std::chrono::milliseconds(2000));
+  SpmdChecker ck;
+  msg::run_spmd(m, [&](Context& ctx) {
+    for (const int root : {ctx.nprocs(), -1}) {
+      const auto expect_bad_root = [&](const auto& bcast) {
+        try {
+          bcast();
+          ck.fail("root " + std::to_string(root) + ": expected throw");
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          ck.check(what.find("root " + std::to_string(root)) !=
+                           std::string::npos &&
+                       what.find("P = 4") != std::string::npos,
+                   ctx.rank(), what);
+        }
+      };
+      expect_bad_root(
+          [&] { (void)ctx.broadcast_vec(std::vector<int>{1, 2}, root); });
+      expect_bad_root([&] { (void)ctx.broadcast(2.5, root); });
+    }
+    ck.check_eq(ctx.allreduce(ctx.rank() + 1, ReduceOp::Sum), 10, ctx.rank(),
+                "allreduce after the rejected broadcasts");
+    ck.check_eq(ctx.broadcast(ctx.rank() == 3 ? 7 : 0, 3), 7, ctx.rank(),
+                "broadcast after the rejected ones");
+  });
+  ck.expect_clean();
 }
 
 TEST(Collectives, TagSpaceExhaustionFailsLoudly) {

@@ -1,5 +1,6 @@
 // The pluggable counted-exchange transport layer: VF_TRANSPORT parsing,
-// mailbox/shared-memory equivalence (results AND data-traffic accounting),
+// mailbox/shared-memory equivalence (results AND data-traffic accounting,
+// alltoallv included, with an inspector overlapping a split exchange),
 // switching transports on a live machine, the zero-copy rendezvous's
 // failure containment (RankAbort mid-exchange, pre-agreed count mismatch,
 // machine reuse after an abort), and the allocation-free collective
@@ -8,6 +9,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "vf/apps/smoothing_sim.hpp"
 #include "vf/msg/exchange_scratch.hpp"
 #include "vf/msg/transport.hpp"
+#include "vf/parti/schedule.hpp"
 #include "vf/rt/dist_array.hpp"
 
 namespace vf {
@@ -23,11 +27,11 @@ namespace {
 
 using dist::block;
 using dist::DistributionType;
+using dist::Index;
 using dist::IndexDomain;
 using dist::IndexVec;
 using msg::Context;
 using msg::ExchangeLane;
-using msg::ExchangeScratch;
 using msg::Machine;
 using msg::RankAbort;
 using msg::TransportKind;
@@ -95,10 +99,9 @@ TEST(TransportSelect, MachineExposesAndSwitchesKind) {
 /// nothing but checks every received value.
 void ring_exchange_round(Context& ctx, SpmdChecker& ck, int round) {
   const int np = ctx.nprocs();
-  ExchangeScratch arena;
-  ExchangeLane& lane = arena.lane(sizeof(double));
+  ExchangeLane lane;
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(np), 2);
-  lane.prepare(counts, counts);
+  lane.prepare(counts, counts, sizeof(double));
   for (int d = 0; d < np; ++d) {
     lane.send<double>(d)[0] = ctx.rank() * 100.0 + d + round;
     lane.send<double>(d)[1] = 0.5 * ctx.rank();
@@ -160,6 +163,156 @@ TEST(TransportEquivalence, SetTransportBetweenRunsOnOneMachine) {
   EXPECT_EQ(first, second);
 }
 
+/// alltoallv and alltoallv_known ride the one counted exchange, so on
+/// either transport they deliver the same payloads with the same
+/// accounting: ragged lengths, empty payloads (no message) and the self
+/// slot (no network).  Rank r sends (r + 2d) % 4 ints to rank d.
+TEST(TransportEquivalence, AlltoallvRaggedEmptyAndSelfPayloadsMatch) {
+  constexpr int kP = 4;
+  const auto len = [](int s, int d) {
+    return static_cast<std::size_t>((s + 2 * d) % 4);
+  };
+  const auto payload = [&](int s, int d) {
+    std::vector<int> v(len(s, d));
+    for (std::size_t k = 0; k < v.size(); ++k) {
+      v[k] = s * 1000 + d * 10 + static_cast<int>(k);
+    }
+    return v;
+  };
+  std::vector<std::vector<std::vector<int>>> got[2];
+  msg::CommStats stats[2];
+  const TransportKind kinds[2] = {TransportKind::Mailbox,
+                                  TransportKind::SharedMemory};
+  for (int t = 0; t < 2; ++t) {
+    got[t].resize(kP);
+    Machine m(kP, {}, kinds[t]);
+    m.set_recv_watchdog(std::chrono::milliseconds(5000));
+    run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
+      const int me = ctx.rank();
+      std::vector<std::vector<int>> out(kP);
+      std::vector<std::uint64_t> expected(kP);
+      for (int d = 0; d < kP; ++d) {
+        out[static_cast<std::size_t>(d)] = payload(me, d);
+        expected[static_cast<std::size_t>(d)] = len(d, me);
+      }
+      auto in = ctx.alltoallv(out);
+      auto known = ctx.alltoallv_known(std::move(out), expected);
+      for (int s = 0; s < kP; ++s) {
+        const auto us = static_cast<std::size_t>(s);
+        ck.check(in[us] == payload(s, me), me, "alltoallv payload");
+        ck.check(known[us] == payload(s, me), me, "alltoallv_known payload");
+      }
+      in.insert(in.end(), known.begin(), known.end());
+      got[t][static_cast<std::size_t>(me)] = std::move(in);
+    });
+    stats[t] = m.total_stats();
+  }
+  EXPECT_EQ(got[0], got[1]);
+  // One data message per non-empty remote payload, per call.
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  for (int s = 0; s < kP; ++s) {
+    for (int d = 0; d < kP; ++d) {
+      if (s == d || len(s, d) == 0) continue;
+      msgs += 2;
+      bytes += 2 * len(s, d) * sizeof(int);
+    }
+  }
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(stats[t].data_messages, msgs) << msg::to_string(kinds[t]);
+    EXPECT_EQ(stats[t].data_bytes, bytes) << msg::to_string(kinds[t]);
+    // alltoallv: count allgather + exchange; alltoallv_known: exchange.
+    EXPECT_EQ(stats[t].collectives, std::uint64_t{3 * kP})
+        << msg::to_string(kinds[t]);
+  }
+  EXPECT_EQ(stats[0].data_messages, stats[1].data_messages);
+  EXPECT_EQ(stats[0].data_bytes, stats[1].data_bytes);
+  EXPECT_EQ(stats[0].collectives, stats[1].collectives);
+}
+
+/// A PARTI inspector -- whose request exchange is an alltoallv -- runs
+/// while an array's split-phase overlap exchange is in flight, so two
+/// counted exchanges are outstanding on different tags.  Both complete,
+/// the schedule gathers correctly, and the ghosts are bitwise equal to a
+/// blocking exchange_overlap of a twin array.
+TEST(TransportEquivalence, InspectorDuringSplitPhaseExchange) {
+  for (const TransportKind kind :
+       {TransportKind::Mailbox, TransportKind::SharedMemory}) {
+    Machine m(4, {}, kind);
+    m.set_recv_watchdog(std::chrono::milliseconds(5000));
+    run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
+      rt::Env env(ctx, dist::ProcessorArray::grid(2, 2));
+      const IndexDomain dom = IndexDomain::of_extents({12, 10});
+      const auto spec = [&](const char* name) {
+        return rt::DistArray<double>::Spec{
+            .name = name,
+            .domain = dom,
+            .dynamic = true,
+            .initial = DistributionType{block(), block()},
+            .overlap_lo = {1, 2},
+            .overlap_hi = {2, 1},
+            .overlap_corners = true};
+      };
+      rt::DistArray<double> spl(env, spec("SPL"));
+      rt::DistArray<double> blk(env, spec("BLK"));
+      const auto f = [](const IndexVec& i) { return 100.0 * i[0] + i[1]; };
+      spl.init(f);
+      blk.init(f);
+
+      std::mt19937 rng(17 + ctx.rank());
+      std::vector<IndexVec> pts;
+      for (int k = 0; k < 30; ++k) {
+        pts.push_back({1 + static_cast<Index>(rng() % 12),
+                       1 + static_cast<Index>(rng() % 10)});
+      }
+      spl.begin_exchange_overlap();
+      const parti::Schedule sched(ctx, spl.dist_handle(), pts);
+      spl.end_exchange_overlap();
+      blk.exchange_overlap();
+
+      const auto a = spl.local_span();
+      const auto b = blk.local_span();
+      ck.check(a.size() == b.size() &&
+                   std::memcmp(a.data(), b.data(), a.size_bytes()) == 0,
+               ctx.rank(), std::string("ghosts differ from blocking on ") +
+                               msg::to_string(kind));
+      std::vector<double> vals(pts.size());
+      sched.gather(ctx, blk, vals);
+      for (std::size_t k = 0; k < pts.size(); ++k) {
+        ck.check_eq(vals[k], f(pts[k]), ctx.rank(), "gathered value");
+      }
+    });
+  }
+}
+
+/// A lane moved between begin_exchange and end_exchange takes its
+/// in-flight publication along (its buffers are the ones published):
+/// the moved-from lane dies with nothing to withdraw, and the exchange
+/// completes on the new lane.
+TEST(TransportEquivalence, LaneMovedMidExchangeCompletes) {
+  Machine m(4, {}, TransportKind::SharedMemory);
+  m.set_recv_watchdog(std::chrono::milliseconds(2000));
+  run_checked_on(m, [](Context& ctx, SpmdChecker& ck) {
+    const std::vector<std::uint64_t> counts(4, 1);
+    ExchangeLane moved;
+    int tag = 0;
+    {
+      ExchangeLane lane;
+      lane.prepare(counts, counts, sizeof(double));
+      for (int d = 0; d < 4; ++d) {
+        lane.send<double>(d)[0] = 10.0 * ctx.rank() + d;
+      }
+      tag = ctx.begin_exchange(lane);
+      moved = std::move(lane);
+    }
+    ctx.end_exchange(moved, tag);
+    for (int s = 0; s < 4; ++s) {
+      ck.check_eq(moved.recv<double>(s)[0], 10.0 * s + ctx.rank(),
+                  ctx.rank(), "value through the moved lane");
+    }
+  });
+}
+
 // ---- zero-copy failure containment ----------------------------------------
 
 /// One rank dies between begin and end while its peers are already
@@ -171,10 +324,9 @@ TEST(TransportAbort, RankDeathMidExchangeWakesBlockedPeers) {
   m.set_recv_watchdog(std::chrono::milliseconds(2000));
   try {
     msg::run_spmd(m, [](Context& ctx) {
-      ExchangeScratch arena;
-      ExchangeLane& lane = arena.lane(sizeof(double));
+      ExchangeLane lane;
       const std::vector<std::uint64_t> counts(4, 1);
-      lane.prepare(counts, counts);
+      lane.prepare(counts, counts, sizeof(double));
       for (int d = 0; d < 4; ++d) lane.send<double>(d)[0] = 1.0 * ctx.rank();
       const int tag = ctx.begin_exchange(lane);
       if (ctx.rank() == 2) {
@@ -211,16 +363,15 @@ TEST(TransportAbort, PreAgreedCountMismatchAborts) {
   m.set_recv_watchdog(std::chrono::milliseconds(2000));
   try {
     msg::run_spmd(m, [](Context& ctx) {
-      ExchangeScratch arena;
-      ExchangeLane& lane = arena.lane(sizeof(double));
+      ExchangeLane lane;
       if (ctx.rank() == 0) {
         // Sends 2 to rank 1, expects 1 back.
         lane.prepare(std::vector<std::uint64_t>{0, 2},
-                     std::vector<std::uint64_t>{0, 1});
+                     std::vector<std::uint64_t>{0, 1}, sizeof(double));
       } else {
         // Sends 1 to rank 0, expects 3 -- but rank 0 published 2.
         lane.prepare(std::vector<std::uint64_t>{1, 0},
-                     std::vector<std::uint64_t>{3, 0});
+                     std::vector<std::uint64_t>{3, 0}, sizeof(double));
       }
       ctx.end_exchange(lane, ctx.begin_exchange(lane));
     });
