@@ -1,9 +1,8 @@
 #include "vf/apps/amr_front.hpp"
 
-#include <cmath>
 #include <stdexcept>
-#include <string>
 
+#include "front_rules.hpp"
 #include "vf/rt/dist_array.hpp"
 
 namespace vf::apps {
@@ -13,40 +12,9 @@ namespace {
 using dist::Index;
 using dist::IndexVec;
 
-/// Per-rank ghost widths in dimension 0 for a segment [a, b] when the
-/// front is at f: the widest reach of any owned cell's radius past each
-/// segment edge.  A cell i reads down to i - r(i), so the low width is
-/// max over owned i of r(i) - (i - a); only cells within front_width of
-/// the edge can contribute a positive value.
-struct Dim0Widths {
-  Index lo = 0;
-  Index hi = 0;
-};
-
-Dim0Widths dim0_widths(Index a, Index b, Index f, const AmrFrontConfig& cfg) {
-  Dim0Widths w;
-  for (Index i = a; i <= b && i <= a + cfg.front_width; ++i) {
-    const Index r =
-        amr_radius(i, f, cfg.front_halfspan, cfg.base_width, cfg.front_width);
-    w.lo = std::max(w.lo, r - (i - a));
-  }
-  for (Index i = std::max(a, b - cfg.front_width); i <= b; ++i) {
-    const Index r =
-        amr_radius(i, f, cfg.front_halfspan, cfg.base_width, cfg.front_width);
-    w.hi = std::max(w.hi, r - (b - i));
-  }
-  return w;
-}
-
-int isqrt_exact(int np) {
-  int q = 1;
-  while (q * q < np) ++q;
-  if (q * q != np) {
-    throw std::invalid_argument(
-        "run_amr_front: nprocs must be a perfect square, got " +
-        std::to_string(np));
-  }
-  return q;
+/// Front column at `step`.
+Index front_at(const AmrFrontConfig& cfg, int step) {
+  return cfg.front0 + static_cast<Index>(step) * cfg.front_step;
 }
 
 }  // namespace
@@ -66,7 +34,7 @@ double amr_checksum(const std::vector<double>& full) {
 
 AmrFrontResult run_amr_front(msg::Context& ctx, const AmrFrontConfig& cfg) {
   const int np = ctx.nprocs();
-  const int q = isqrt_exact(np);
+  const int q = detail::square_side(np, "run_amr_front");
   // The asymmetric spec contract is exact (no partial fill): every
   // non-empty BLOCK segment must be able to serve a front_width ghost.
   const Index bw = (cfg.n + q - 1) / q;           // ceil(n / q)
@@ -95,23 +63,8 @@ AmrFrontResult run_amr_front(msg::Context& ctx, const AmrFrontConfig& cfg) {
   rt::DistArray<double>* src = &a;
   rt::DistArray<double>* dst = &b;
   for (int step = 0; step < cfg.steps; ++step) {
-    const Index f = cfg.front0 + static_cast<Index>(step) * cfg.front_step;
-    // Re-declare this rank's ghost needs for the current front position
-    // (collective: every rank calls, including ranks far from the front
-    // whose widths stay at base_width).
-    Index lo0 = cfg.base_width;
-    Index hi0 = cfg.base_width;
-    if (src->layout().member) {
-      const auto seg = src->distribution().dim_map(0).segment(
-          static_cast<int>(src->layout().coords[0]));
-      if (seg) {
-        const Dim0Widths w = dim0_widths(seg->lo, seg->hi, f, cfg);
-        lo0 = std::max(lo0, w.lo);
-        hi0 = std::max(hi0, w.hi);
-      }
-    }
-    src->set_overlap({lo0, 1}, {hi0, 1}, /*corners=*/false,
-                     /*asymmetric=*/true);
+    const Index f = front_at(cfg, step);
+    detail::declare_front_overlap(*src, f, cfg);
     const auto update = [&](const IndexVec& i, double& out) {
       const Index r = amr_radius(i[0], f, cfg.front_halfspan, cfg.base_width,
                                  cfg.front_width);
@@ -165,31 +118,8 @@ AmrFrontResult run_amr_front(msg::Context& ctx, const AmrFrontConfig& cfg) {
 }
 
 std::vector<double> amr_front_reference(const AmrFrontConfig& cfg) {
-  const Index n = cfg.n;
-  std::vector<double> cur(static_cast<std::size_t>(n * n));
-  for (Index j = 1; j <= n; ++j) {
-    for (Index i = 1; i <= n; ++i) {
-      cur[static_cast<std::size_t>((i - 1) + n * (j - 1))] =
-          amr_seed(i, j, n);
-    }
-  }
-  std::vector<double> next(cur.size());
-  for (int step = 0; step < cfg.steps; ++step) {
-    const Index f = cfg.front0 + static_cast<Index>(step) * cfg.front_step;
-    const auto rd = [&](Index x, Index y) {
-      return cur[static_cast<std::size_t>((x - 1) + n * (y - 1))];
-    };
-    for (Index j = 1; j <= n; ++j) {
-      for (Index i = 1; i <= n; ++i) {
-        const Index r = amr_radius(i, f, cfg.front_halfspan, cfg.base_width,
-                                   cfg.front_width);
-        next[static_cast<std::size_t>((i - 1) + n * (j - 1))] =
-            amr_point(i, j, n, r, rd);
-      }
-    }
-    std::swap(cur, next);
-  }
-  return cur;
+  return detail::front_reference(
+      cfg, [&](int step) { return front_at(cfg, step); });
 }
 
 }  // namespace vf::apps

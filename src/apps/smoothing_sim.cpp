@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "front_rules.hpp"
 #include "vf/rt/dist_array.hpp"
 
 namespace vf::apps {
@@ -11,13 +12,6 @@ namespace {
 using dist::Index;
 using dist::IndexDomain;
 using dist::IndexVec;
-
-int isqrt(int p) {
-  int r = static_cast<int>(std::lround(std::sqrt(static_cast<double>(p))));
-  while (r * r > p) --r;
-  while ((r + 1) * (r + 1) <= p) ++r;
-  return r;
-}
 
 /// One 9-point update at i; out-of-domain neighbours reuse the centre
 /// value, like the 5-point kernel.
@@ -57,11 +51,7 @@ SmoothResult run_smoothing(msg::Context& ctx, const SmoothConfig& cfg,
     glo = {0, 1};
     ghi = {0, 1};
   } else {
-    const int q = isqrt(np);
-    if (q * q != np) {
-      throw std::invalid_argument(
-          "smoothing grid2d layout needs a square processor count");
-    }
+    const int q = detail::square_side(np, "run_smoothing (grid2d layout)");
     parr = dist::ProcessorArray::grid(q, q);
     type = dist::DistributionType{dist::block(), dist::block()};
     glo = {1, 1};
@@ -139,7 +129,7 @@ double modeled_step_cost_us(SmoothLayout layout, Index n, int nprocs,
   if (layout == SmoothLayout::Columns) {
     return 2.0 * cm.message_us(static_cast<std::uint64_t>(n) * elem_size);
   }
-  const int q = isqrt(nprocs);
+  const int q = detail::isqrt(nprocs);
   const auto face = static_cast<std::uint64_t>((n + q - 1) / q) * elem_size;
   return 4.0 * cm.message_us(face);
 }

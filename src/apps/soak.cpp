@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
+#include "front_rules.hpp"
 #include "vf/apps/amr_front.hpp"
 #include "vf/rt/dist_array.hpp"
 
@@ -21,38 +21,6 @@ Index front_at(const SoakConfig& cfg, int step) {
   const Index span = cfg.n;
   const Index raw = cfg.front0 - 1 + static_cast<Index>(step) * cfg.front_step;
   return 1 + ((raw % span) + span) % span;
-}
-
-/// Per-rank ghost widths in dimension 0 for segment [a, b] with the
-/// front at f (same reach rule as amr_front.cpp).
-struct Dim0Widths {
-  Index lo = 0;
-  Index hi = 0;
-};
-
-Dim0Widths dim0_widths(Index a, Index b, Index f, const SoakConfig& cfg) {
-  Dim0Widths w;
-  for (Index i = a; i <= b && i <= a + cfg.front_width; ++i) {
-    const Index r =
-        amr_radius(i, f, cfg.front_halfspan, cfg.base_width, cfg.front_width);
-    w.lo = std::max(w.lo, r - (i - a));
-  }
-  for (Index i = std::max(a, b - cfg.front_width); i <= b; ++i) {
-    const Index r =
-        amr_radius(i, f, cfg.front_halfspan, cfg.base_width, cfg.front_width);
-    w.hi = std::max(w.hi, r - (b - i));
-  }
-  return w;
-}
-
-int isqrt_exact(int np) {
-  int q = 1;
-  while (q * q < np) ++q;
-  if (q * q != np) {
-    throw std::invalid_argument(
-        "run_soak: nprocs must be a perfect square, got " + std::to_string(np));
-  }
-  return q;
 }
 
 std::uint64_t lcg(std::uint64_t x) {
@@ -107,7 +75,7 @@ std::vector<Index> soak_split_sizes(Index n, int q, Index min_seg,
 
 SoakResult run_soak(msg::Context& ctx, const SoakConfig& cfg) {
   const int np = ctx.nprocs();
-  const int q = isqrt_exact(np);
+  const int q = detail::square_side(np, "run_soak");
   const Index min_seg = std::max(cfg.front_width, cfg.base_width);
   if (cfg.n / q < min_seg) {
     throw std::invalid_argument(
@@ -165,19 +133,7 @@ SoakResult run_soak(msg::Context& ctx, const SoakConfig& cfg) {
       src->distribute(nd);
       dst->distribute(nd);
     }
-    Index lo0 = cfg.base_width;
-    Index hi0 = cfg.base_width;
-    if (src->layout().member) {
-      const auto seg = src->distribution().dim_map(0).segment(
-          static_cast<int>(src->layout().coords[0]));
-      if (seg) {
-        const Dim0Widths w = dim0_widths(seg->lo, seg->hi, f, cfg);
-        lo0 = std::max(lo0, w.lo);
-        hi0 = std::max(hi0, w.hi);
-      }
-    }
-    src->set_overlap({lo0, 1}, {hi0, 1}, /*corners=*/false,
-                     /*asymmetric=*/true);
+    detail::declare_front_overlap(*src, f, cfg);
     src->exchange_overlap();
     dst->for_owned([&](const IndexVec& i, double& out) {
       const Index r = amr_radius(i[0], f, cfg.front_halfspan, cfg.base_width,
@@ -224,30 +180,8 @@ SoakResult run_soak(msg::Context& ctx, const SoakConfig& cfg) {
 }
 
 std::vector<double> soak_reference(const SoakConfig& cfg) {
-  const Index n = cfg.n;
-  std::vector<double> cur(static_cast<std::size_t>(n * n));
-  for (Index j = 1; j <= n; ++j) {
-    for (Index i = 1; i <= n; ++i) {
-      cur[static_cast<std::size_t>((i - 1) + n * (j - 1))] = amr_seed(i, j, n);
-    }
-  }
-  std::vector<double> next(cur.size());
-  for (int step = 0; step < cfg.steps; ++step) {
-    const Index f = front_at(cfg, step);
-    const auto rd = [&](Index x, Index y) {
-      return cur[static_cast<std::size_t>((x - 1) + n * (y - 1))];
-    };
-    for (Index j = 1; j <= n; ++j) {
-      for (Index i = 1; i <= n; ++i) {
-        const Index r = amr_radius(i, f, cfg.front_halfspan, cfg.base_width,
-                                   cfg.front_width);
-        next[static_cast<std::size_t>((i - 1) + n * (j - 1))] =
-            amr_point(i, j, n, r, rd);
-      }
-    }
-    std::swap(cur, next);
-  }
-  return cur;
+  return detail::front_reference(
+      cfg, [&](int step) { return front_at(cfg, step); });
 }
 
 }  // namespace vf::apps
