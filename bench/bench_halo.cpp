@@ -2,8 +2,8 @@
 // run-based plan, mirroring what E4 (bench_redistribute) shows for
 // DISTRIBUTE.
 //
-//   cold   -- the Env's halo-plan cache is disabled: every
-//             exchange_overlap re-derives its neighbour analysis and
+//   cold   -- the Env's halo-plan cache is cleared before every timed
+//             exchange: each exchange re-derives its neighbour analysis and
 //             pack/unpack run lists before moving a single byte (what the
 //             pre-halo-subsystem runtime did on every call);
 //   cached -- plans are built once per (distribution, spec) pair and
@@ -90,7 +90,6 @@ void BM_HaloExchange(benchmark::State& state) {
       rt::Env env(ctx, shape == 0
                            ? dist::ProcessorArray::grid(q, q)
                            : dist::ProcessorArray::line(nprocs));
-      env.halo_plans().set_enabled(cached);
       rt::DistArray<double> a(
           env,
           {.name = "A",
@@ -106,10 +105,10 @@ void BM_HaloExchange(benchmark::State& state) {
       a.init([](const IndexVec& i) {
         return static_cast<double>(i[0] + i[1]);
       });
-      // Warmup: with the cache on this builds (and caches) the plan; the
-      // cold path rebuilds it inside every timed exchange anyway.  The
-      // exchange scratch is warm either way, so the timed loop must not
-      // grow it (allocs_per_exchange == 0 in steady state).
+      // Warmup: builds (and caches) the plan; the cold rows clear it and
+      // rebuild inside every timed exchange.  The exchange scratch is warm
+      // either way, so the timed loop must not grow it
+      // (allocs_per_exchange == 0 in steady state).
       a.exchange_overlap();
       a.reset_exchange_scratch_stats();
       ctx.barrier();
@@ -122,6 +121,7 @@ void BM_HaloExchange(benchmark::State& state) {
       // transport the zero-copy hand-off (no compute is overlapped here
       // -- that methodology row lives in bench_smoothing).
       for (int e = 0; e < kExchanges; ++e) {
+        if (!cached) env.halo_plans().clear();
         if (split) {
           a.begin_exchange_overlap();
           a.end_exchange_overlap();

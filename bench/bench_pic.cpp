@@ -77,7 +77,8 @@ void BM_Pic(benchmark::State& state) {
 /// drifted bounds).  After one warmup flip in each direction, the cached
 /// configuration replays plans through the persistent exchange scratch --
 /// allocs_per_replay_redist must be exactly zero (CI-gated); the cold
-/// configuration rebuilds the plan inside every flip.
+/// configuration clears the plan cache before every timed flip, so each
+/// flip rebuilds its plan.
 void BM_PicRedistReplay(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
   constexpr int kProcs = 4;
@@ -104,7 +105,6 @@ void BM_PicRedistReplay(benchmark::State& state) {
       field.init([](const IndexVec& i) {
         return static_cast<double>(i[0] * 100 + i[1]);
       });
-      field.set_redist_plan_cache(cached);
       // The balanced vs drifted partitions of a 4-rank rebalance.
       const dist::DistributionType balanced{
           dist::b_block({64, 128, 192, kNCell}), dist::col()};
@@ -121,6 +121,7 @@ void BM_PicRedistReplay(benchmark::State& state) {
       const auto t0 = std::chrono::steady_clock::now();
       ctx.barrier();
       for (int f = 0; f < kFlips; ++f) {
+        if (!cached) field.clear_redist_plans();
         field.distribute(f % 2 ? drifted : balanced);
       }
       ctx.barrier();

@@ -15,9 +15,9 @@
 // Counters: data_msgs (bounded by P*(P-1) for aggregated patterns),
 // moved_frac (fraction of elements that changed processor), modeled_ms.
 //   flip_*             repeated DISTRIBUTE flips between two distributions
-//                      (the ADI row<->column remap done over and over) with
-//                      the redistribution plan cache enabled vs disabled:
-//                      the cached path replays memcpy runs and skips the
+//                      (the ADI row<->column remap done over and over),
+//                      replayed vs cleared before every flip (cold): the
+//                      cached path replays memcpy runs and skips the
 //                      inspector entirely, so ns_per_flip measures the
 //                      amortization the paper's dynamic-distribution
 //                      argument depends on.
@@ -174,11 +174,11 @@ void BM_Redistribute(benchmark::State& state) {
 
 /// Repeated-flip benchmark: DISTRIBUTE back and forth between two
 /// distributions many times on one machine, measuring steady-state
-/// ns/flip.  `cached == 0` disables BOTH the plan cache and the
-/// descriptor registry: every flip re-runs descriptor construction
-/// (owner-table copy + DimMap build) and the run-construction inspector
-/// -- the per-statement cost the paper's Section 3.2.2 charges a naive
-/// runtime.  `cached == 1` interns descriptors (each flip resolves the
+/// ns/flip.  `cached == 0` clears BOTH the plan cache and the descriptor
+/// registry before every timed flip, so each flip re-runs descriptor
+/// construction (owner-table copy + DimMap build) and the run-construction
+/// inspector -- the per-statement cost the paper's Section 3.2.2 charges a
+/// naive runtime.  `cached == 1` interns descriptors (each flip resolves the
 /// target via a registry hash hit) and replays plans keyed on the
 /// (old, new) handle-identity pair.  The gap matters most for
 /// flip_indirect, where descriptor construction used to dominate and
@@ -209,7 +209,6 @@ void BM_RedistributeFlip(benchmark::State& state) {
     std::atomic<double> secs{0.0};
     msg::run_spmd(machine, [&](msg::Context& ctx) {
       rt::Env env(ctx);
-      env.registry().set_enabled(cached);
       dist::DistributionType ta;
       dist::DistributionType tb;
       IndexDomain dom = IndexDomain::of_extents({n});
@@ -244,9 +243,9 @@ void BM_RedistributeFlip(benchmark::State& state) {
                                     .domain = dom,
                                     .dynamic = true,
                                     .initial = ta});
-      a.set_redist_plan_cache(cached);
       a.fill(1.0);
-      // Warmup round trip: with the cache on this builds both plans.
+      // Warmup round trip: builds both plans (the cached rows replay
+      // them).
       a.distribute(tb);
       const dist::DistHandle hb = a.dist_handle();
       a.distribute(ta);
@@ -258,6 +257,10 @@ void BM_RedistributeFlip(benchmark::State& state) {
       const auto t0 = std::chrono::steady_clock::now();
       ctx.barrier();
       for (int f = 0; f < kFlips; ++f) {
+        if (!cached) {
+          env.registry().clear();
+          a.clear_redist_plans();
+        }
         a.distribute(f % 2 == 0 ? tb : ta);
       }
       ctx.barrier();

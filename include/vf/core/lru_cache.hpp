@@ -44,11 +44,9 @@ class LruCache {
   /// Returns the entry under `key` when there is one and `current(entry)`
   /// holds, moving it to the most-recently-used position (a hit).
   /// Anything else is a miss and returns null; the caller rebuilds and
-  /// insert()s, which replaces a stale entry under the same key.  A
-  /// disabled cache returns null and counts nothing.
+  /// insert()s, which replaces a stale entry under the same key.
   template <typename Current>
   [[nodiscard]] V* find(const Key& key, Current&& current) {
-    if (!enabled_) return nullptr;
     const auto it = std::find_if(slots_.begin(), slots_.end(),
                                  [&](const Slot& s) { return s.key == key; });
     if (it == slots_.end() || !current(std::as_const(it->value))) {
@@ -70,9 +68,8 @@ class LruCache {
   }
 
   /// Caches `value` (charged `bytes`) as the most recently used entry and
-  /// returns it; null when the cache is disabled.
+  /// returns it.
   V* insert(Key key, V value, std::size_t bytes) {
-    if (!enabled_) return nullptr;
     erase_if([&](const Key& k, const V&) { return k == key; });
     slots_.insert(slots_.begin(),
                   Slot{std::move(key), std::move(value), bytes});
@@ -108,13 +105,6 @@ class LruCache {
     evict_to_limits();
   }
 
-  /// Disabling clears the cache and turns find/insert into no-ops (the
-  /// benchmarks' cold inspector paths).
-  void set_enabled(bool on) noexcept {
-    enabled_ = on;
-    if (!on) clear();
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
     return resident_;
@@ -143,7 +133,6 @@ class LruCache {
 
   std::size_t max_entries_;
   std::size_t max_bytes_;
-  bool enabled_ = true;
   std::vector<Slot> slots_;  ///< most recently used first
   std::size_t resident_ = 0;
   std::uint64_t evictions_ = 0;

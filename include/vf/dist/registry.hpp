@@ -34,9 +34,9 @@ namespace vf::dist {
 class DistRegistry;
 
 /// Shared immutable reference to an interned Distribution.  Equality is
-/// pointer identity; uid() is a small dense id (unique per registry, 0 for
-/// the null handle and for unregistered wrappers) that downstream caches
-/// pack into flat integer keys.
+/// pointer identity; uid() is a small dense id (unique per registry, 0
+/// only for the null handle) that downstream caches pack into flat integer
+/// keys.
 class DistHandle {
  public:
   DistHandle() = default;
@@ -49,10 +49,8 @@ class DistHandle {
   [[nodiscard]] const DistributionPtr& ptr() const noexcept { return p_; }
   explicit operator bool() const noexcept { return p_ != nullptr; }
 
-  /// Dense registry id; 0 when null or created with a disabled registry
-  /// (such handles never hit identity-keyed caches).
+  /// Dense registry id; 0 only for the null handle.
   [[nodiscard]] std::uint32_t uid() const noexcept { return uid_; }
-  [[nodiscard]] bool interned() const noexcept { return uid_ != 0; }
 
   friend bool operator==(const DistHandle&, const DistHandle&) = default;
   friend bool operator==(const DistHandle& h, std::nullptr_t) noexcept {
@@ -113,11 +111,6 @@ class DistRegistry {
   /// interned handle, a miss admits the pointer as-is (no copy).
   [[nodiscard]] DistHandle intern(DistributionPtr d);
 
-  /// Wraps a distribution without interning (uid 0); what intern()
-  /// degrades to while the registry is disabled.
-  [[nodiscard]] static DistHandle wrap(Distribution d);
-  [[nodiscard]] static DistHandle wrap(DistributionPtr d);
-
   /// The per-dimension map `dd` induces on `r` over `nprocs` coordinates,
   /// shared across every interned distribution that uses it.
   [[nodiscard]] DimMapPtr intern_dim_map(const DimDist& dd, Range r,
@@ -139,12 +132,6 @@ class DistRegistry {
   [[nodiscard]] halo::FamilyHandle intern_family(
       std::vector<halo::HaloHandle> specs);
 
-  /// Disabling makes intern() construct fresh unregistered handles (the
-  /// benchmark cold path, measuring per-statement descriptor
-  /// construction); existing entries are kept for re-enabling.
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   [[nodiscard]] const RegistryStats& stats() const noexcept { return stats_; }
   /// Zeroes the traffic counters; resident_bytes describes entries that
   /// still exist and survives the reset.
@@ -155,7 +142,7 @@ class DistRegistry {
   }
 
   /// Number of interned distributions.
-  [[nodiscard]] std::size_t size() const noexcept { return n_dists_; }
+  [[nodiscard]] std::size_t size() const noexcept { return dists_.size(); }
 
   /// Epoch-based reclamation: drops every intern nothing outside the
   /// registry still references (a bucket entry is pinned iff some live
@@ -186,24 +173,50 @@ class DistRegistry {
     DimMapPtr map;
   };
 
+  /// The interns of one kind, bucketed by structural fingerprint (vectors
+  /// absorb collisions).  Each entry keeps the bytes it was charged, so a
+  /// sweep credits back exactly the admission's charge.
+  template <typename Entry>
+  class Table {
+   public:
+    /// The first entry in `key`'s bucket for which same(entry) holds.
+    template <typename Same>
+    [[nodiscard]] const Entry* find(std::uint64_t key, Same&& same) const;
+    /// Stores `e` charged `bytes` to stats.resident_bytes.
+    const Entry& admit(std::uint64_t key, Entry e, std::size_t bytes,
+                       RegistryStats& stats);
+    /// Drops every entry whose shared pointer (shared(entry)) nothing
+    /// outside the table references; returns how many.
+    template <typename Shared>
+    std::size_t sweep(Shared&& shared, RegistryStats& stats);
+    void clear() noexcept {
+      buckets_.clear();
+      size_ = 0;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    struct Slot {
+      Entry entry;
+      std::size_t bytes;
+    };
+    std::unordered_map<std::uint64_t, std::vector<Slot>> buckets_;
+    std::size_t size_ = 0;
+  };
+
   [[nodiscard]] DistHandle admit(DistributionPtr d, std::uint64_t key);
 
-  bool enabled_ = true;
   RegistryStats stats_;
   std::uint64_t epoch_ = 0;
   std::uint32_t next_uid_ = 1;
   std::uint32_t next_halo_uid_ = 1;
   std::uint32_t next_family_uid_ = 1;
-  std::size_t n_dists_ = 0;
 
-  // Buckets keyed by structural fingerprint; vectors absorb collisions.
-  std::unordered_map<std::uint64_t, std::vector<DistHandle>> dists_;
-  std::unordered_map<std::uint64_t, std::vector<DimMapEntry>> dim_maps_;
-  std::unordered_map<std::uint64_t, std::vector<ProcessorSectionPtr>>
-      sections_;
-  std::unordered_map<std::uint64_t, std::vector<halo::HaloHandle>> halos_;
-  std::unordered_map<std::uint64_t, std::vector<halo::FamilyHandle>>
-      halo_families_;
+  Table<DistHandle> dists_;
+  Table<DimMapEntry> dim_maps_;
+  Table<ProcessorSectionPtr> sections_;
+  Table<halo::HaloHandle> halos_;
+  Table<halo::FamilyHandle> halo_families_;
 };
 
 }  // namespace vf::dist

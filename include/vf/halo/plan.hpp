@@ -87,9 +87,7 @@ struct HaloFill {
 
 /// Per-Env cache of halo plans keyed on the (DistHandle uid, HaloSpec uid)
 /// pair.  Identity-keyed: a hit is one integer compare per resident entry
-/// with no structural comparison or index-list rebuild.  Uninterned
-/// handles (uid 0) are uncacheable and rebuild every time -- the
-/// benchmark cold path.
+/// with no structural comparison or index-list rebuild.
 ///
 /// Bounded by a core::LruCache of kCapacity entries within a byte budget
 /// (default 16 MiB).  An evicted plan rebuilds transparently on next use.
@@ -111,13 +109,10 @@ class HaloPlanCache {
   [[nodiscard]] std::shared_ptr<const msg::RunPlan> lookup_or_build(
       const dist::DistHandle& d, const FamilyHandle& f, int me, int np);
 
-  /// Disabling also drops cached plans and the counters (benchmarks
-  /// measuring the cold plan-construction + exchange path).
-  void set_enabled(bool on) { cache_.set_enabled(on); }
-
   /// Drops every entry AND the hit/miss counters: stats describe the
-  /// cache's contents, and a reader comparing ratios across a clear (or
-  /// a set_enabled(false) cold path) must not see pre-clear traffic.
+  /// cache's contents, and a reader comparing ratios across a clear must
+  /// not see pre-clear traffic.  The benchmarks' cold rows clear before
+  /// each timed exchange.
   void clear() { cache_.clear(); }
 
   /// Byte ceiling (default 16 MiB); shrinking below residency evicts

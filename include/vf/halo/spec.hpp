@@ -75,8 +75,7 @@ using HaloSpecPtr = std::shared_ptr<const HaloSpec>;
 
 /// Shared immutable reference to an interned HaloSpec.  Like DistHandle:
 /// equality is pointer identity, uid() is a small dense per-registry id (0
-/// for the null handle and for unregistered wrappers) that plan caches
-/// pack into flat integer keys.
+/// only for the null handle) that plan caches pack into flat integer keys.
 class HaloHandle {
  public:
   HaloHandle() = default;
@@ -89,12 +88,6 @@ class HaloHandle {
   explicit operator bool() const noexcept { return p_ != nullptr; }
 
   [[nodiscard]] std::uint32_t uid() const noexcept { return uid_; }
-  [[nodiscard]] bool interned() const noexcept { return uid_ != 0; }
-
-  /// Wraps a spec without interning (uid 0; never hits identity caches).
-  [[nodiscard]] static HaloHandle wrap(HaloSpec s) {
-    return HaloHandle(std::make_shared<const HaloSpec>(std::move(s)), 0);
-  }
 
   friend bool operator==(const HaloHandle&, const HaloHandle&) = default;
 
@@ -170,8 +163,8 @@ using HaloFamilyPtr = std::shared_ptr<const HaloFamily>;
 
 /// Shared immutable reference to an interned HaloFamily, mirroring
 /// HaloHandle: equality is pointer identity, uid() is a small dense
-/// per-registry id (0 for null / unregistered wrappers) that the halo-plan
-/// cache packs into flat integer keys alongside the distribution uid.
+/// per-registry id (0 only for the null handle) that the halo-plan cache
+/// packs into flat integer keys alongside the distribution uid.
 class FamilyHandle {
  public:
   FamilyHandle() = default;
@@ -184,12 +177,6 @@ class FamilyHandle {
   explicit operator bool() const noexcept { return p_ != nullptr; }
 
   [[nodiscard]] std::uint32_t uid() const noexcept { return uid_; }
-  [[nodiscard]] bool interned() const noexcept { return uid_ != 0; }
-
-  /// Wraps a family without interning (uid 0; never hits identity caches).
-  [[nodiscard]] static FamilyHandle wrap(HaloFamily f) {
-    return FamilyHandle(std::make_shared<const HaloFamily>(std::move(f)), 0);
-  }
 
   friend bool operator==(const FamilyHandle&, const FamilyHandle&) = default;
 

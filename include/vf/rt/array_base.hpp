@@ -345,14 +345,10 @@ class DistArrayBase {
   // handle-identity pair; plans are element offsets, so the cache is
   // independent of the element type.
 
-  /// Enables/disables the plan cache; disabling also drops cached plans
-  /// AND the hit/miss counters -- stats describe the cache's contents,
-  /// and a cold-path benchmark toggling the cache off must not read
-  /// pre-toggle traffic.  Mainly for benchmarks measuring the cold
-  /// inspector path.
-  void set_redist_plan_cache(bool enabled) {
-    redist_plans_.set_enabled(enabled);
-  }
+  /// Drops every cached plan AND the hit/miss counters -- stats describe
+  /// the cache's contents.  The benchmarks' cold rows clear before each
+  /// timed flip to measure the inspector path.
+  void clear_redist_plans() noexcept { redist_plans_.clear(); }
   [[nodiscard]] std::uint64_t redist_plan_hits() const noexcept {
     return redist_plans_.stats().hits;
   }
@@ -584,9 +580,7 @@ class DistArrayBase {
 
   /// The plan moving this array's storage from its current distribution
   /// to `nd`: a cache hit refreshes the entry's recency; a miss builds it
-  /// and caches it.  Handles that never went through a registry (uid 0)
-  /// are uncacheable and always rebuild -- exactly the benchmark cold
-  /// path.
+  /// and caches it.
   [[nodiscard]] std::shared_ptr<const msg::RunPlan> redist_plan_for(
       const dist::DistHandle& nd);
 

@@ -54,26 +54,63 @@ void sub_bytes(std::uint64_t& acc, std::size_t b) noexcept {
 
 }  // namespace
 
-DistHandle DistRegistry::wrap(Distribution d) {
-  return DistHandle(std::make_shared<const Distribution>(std::move(d)), 0);
+template <typename Entry>
+template <typename Same>
+const Entry* DistRegistry::Table<Entry>::find(std::uint64_t key,
+                                              Same&& same) const {
+  const auto it = buckets_.find(key);
+  if (it == buckets_.end()) return nullptr;
+  for (const Slot& s : it->second) {
+    if (same(s.entry)) return &s.entry;
+  }
+  return nullptr;
 }
 
-DistHandle DistRegistry::wrap(DistributionPtr d) {
-  return DistHandle(std::move(d), 0);
+template <typename Entry>
+const Entry& DistRegistry::Table<Entry>::admit(std::uint64_t key, Entry e,
+                                               std::size_t bytes,
+                                               RegistryStats& stats) {
+  stats.resident_bytes += bytes;
+  ++size_;
+  std::vector<Slot>& bucket = buckets_[key];
+  bucket.push_back(Slot{std::move(e), bytes});
+  return bucket.back().entry;
+}
+
+template <typename Entry>
+template <typename Shared>
+std::size_t DistRegistry::Table<Entry>::sweep(Shared&& shared,
+                                              RegistryStats& stats) {
+  std::size_t reclaimed = 0;
+  for (auto it = buckets_.begin(); it != buckets_.end();) {
+    std::erase_if(it->second, [&](const Slot& s) {
+      // Pinned iff anything besides this bucket still shares the pointer
+      // (a live array's handle chain, a cached plan, a schedule binding,
+      // a user handle).
+      if (shared(s.entry).use_count() > 1) {
+        ++stats.pinned;
+        return false;
+      }
+      sub_bytes(stats.resident_bytes, s.bytes);
+      ++reclaimed;
+      return true;
+    });
+    it = it->second.empty() ? buckets_.erase(it) : std::next(it);
+  }
+  size_ -= reclaimed;
+  stats.swept += reclaimed;
+  return reclaimed;
 }
 
 DistHandle DistRegistry::admit(DistributionPtr d, std::uint64_t key) {
   DistHandle h(std::move(d), next_uid_++);
-  stats_.resident_bytes += h->footprint_bytes() + sizeof(DistHandle);
-  dists_[key].push_back(h);
-  ++n_dists_;
-  return h;
+  const std::size_t bytes = h->footprint_bytes() + sizeof(DistHandle);
+  return dists_.admit(key, std::move(h), bytes, stats_);
 }
 
 DistHandle DistRegistry::intern(const IndexDomain& dom,
                                 const DistributionType& type,
                                 const ProcessorSection& sec) {
-  if (!enabled_) return wrap(Distribution(dom, type, sec));
   return intern(dom, type, intern_section(sec));
 }
 
@@ -83,18 +120,17 @@ DistHandle DistRegistry::intern(const IndexDomain& dom,
   if (sec == nullptr) {
     throw std::invalid_argument("DistRegistry::intern: null section");
   }
-  if (!enabled_) return wrap(Distribution(dom, type, *sec));
   Distribution::check_applicable(dom, type, *sec);
   const std::vector<int> fd = Distribution::derive_free_dims(type);
   const std::uint64_t key = Distribution::fingerprint_of(dom, type, *sec, fd);
-  for (const DistHandle& cand : dists_[key]) {
-    // Admission-time structural verification: after this, handle identity
-    // IS structural equality, so no downstream cache re-verifies.
-    if (cand->domain() == dom && cand->free_dims() == fd &&
-        cand->type() == type && cand->section() == *sec) {
-      ++stats_.hits;
-      return cand;
-    }
+  // Admission-time structural verification: after this, handle identity
+  // IS structural equality, so no downstream cache re-verifies.
+  if (const DistHandle* h = dists_.find(key, [&](const DistHandle& c) {
+        return c->domain() == dom && c->free_dims() == fd &&
+               c->type() == type && c->section() == *sec;
+      })) {
+    ++stats_.hits;
+    return *h;
   }
   ++stats_.misses;
   std::vector<DimMapPtr> maps;
@@ -110,13 +146,11 @@ DistHandle DistRegistry::intern(const IndexDomain& dom,
 }
 
 DistHandle DistRegistry::intern(Distribution d) {
-  if (!enabled_) return wrap(std::move(d));
   const std::uint64_t key = d.fingerprint();
-  for (const DistHandle& cand : dists_[key]) {
-    if (cand->structural_equal(d)) {
-      ++stats_.hits;
-      return cand;
-    }
+  if (const DistHandle* h = dists_.find(
+          key, [&](const DistHandle& c) { return c->structural_equal(d); })) {
+    ++stats_.hits;
+    return *h;
   }
   ++stats_.misses;
   return admit(std::make_shared<const Distribution>(std::move(d)), key);
@@ -126,13 +160,12 @@ DistHandle DistRegistry::intern(DistributionPtr d) {
   if (d == nullptr) {
     throw std::invalid_argument("DistRegistry::intern: null distribution");
   }
-  if (!enabled_) return wrap(std::move(d));
   const std::uint64_t key = d->fingerprint();
-  for (const DistHandle& cand : dists_[key]) {
-    if (cand.get() == d.get() || cand->structural_equal(*d)) {
-      ++stats_.hits;
-      return cand;
-    }
+  if (const DistHandle* h = dists_.find(key, [&](const DistHandle& c) {
+        return c.get() == d.get() || c->structural_equal(*d);
+      })) {
+    ++stats_.hits;
+    return *h;
   }
   ++stats_.misses;
   return admit(std::move(d), key);
@@ -143,147 +176,83 @@ DimMapPtr DistRegistry::intern_dim_map(const DimDist& dd, Range r,
   std::uint64_t key = fnv1a(kFnvBasis, dd.hash());
   key = hash_range(key, r);
   key = fnv1a(key, static_cast<std::uint64_t>(nprocs));
-  for (const DimMapEntry& e : dim_maps_[key]) {
-    if (e.np == nprocs && e.r == r && e.dd == dd) {
-      ++stats_.dim_map_hits;
-      return e.map;
-    }
+  if (const DimMapEntry* e = dim_maps_.find(key, [&](const DimMapEntry& c) {
+        return c.np == nprocs && c.r == r && c.dd == dd;
+      })) {
+    ++stats_.dim_map_hits;
+    return e->map;
   }
   ++stats_.dim_map_misses;
-  auto m = std::make_shared<const DimMap>(
-      Distribution::build_dim_map(dd, r, nprocs));
-  dim_maps_[key].push_back(DimMapEntry{dd, r, nprocs, m});
-  // Charge from the STORED entry (its vector capacities, not the
-  // caller's), so the sweep's credit mirrors the charge exactly and
-  // resident_bytes returns to zero when everything is reclaimed.
-  const DimMapEntry& e = dim_maps_[key].back();
-  stats_.resident_bytes +=
+  DimMapEntry e{dd, r, nprocs,
+                std::make_shared<const DimMap>(
+                    Distribution::build_dim_map(dd, r, nprocs))};
+  // Charged from the entry itself (its vector capacities, not the
+  // caller's); the move into the table keeps them.
+  const std::size_t bytes =
       sizeof(DimMapEntry) + dim_dist_bytes(e.dd) + e.map->footprint_bytes();
-  return m;
+  return dim_maps_.admit(key, std::move(e), bytes, stats_).map;
 }
 
 ProcessorSectionPtr DistRegistry::intern_section(const ProcessorSection& s) {
   const std::uint64_t key = hash_section(s);
-  for (const ProcessorSectionPtr& cand : sections_[key]) {
-    if (*cand == s) return cand;
+  if (const ProcessorSectionPtr* p = sections_.find(
+          key, [&](const ProcessorSectionPtr& c) { return *c == s; })) {
+    return *p;
   }
   auto p = std::make_shared<const ProcessorSection>(s);
-  stats_.resident_bytes += p->footprint_bytes() + sizeof(ProcessorSectionPtr);
-  sections_[key].push_back(p);
-  return p;
+  const std::size_t bytes = p->footprint_bytes() + sizeof(ProcessorSectionPtr);
+  return sections_.admit(key, std::move(p), bytes, stats_);
 }
 
 halo::HaloHandle DistRegistry::intern(const halo::HaloSpec& s) {
-  if (!enabled_) return halo::HaloHandle::wrap(s);
   const std::uint64_t key = s.hash();
-  for (const halo::HaloHandle& cand : halos_[key]) {
-    if (*cand == s) {
-      ++stats_.halo_spec_hits;
-      return cand;
-    }
+  if (const halo::HaloHandle* h = halos_.find(
+          key, [&](const halo::HaloHandle& c) { return *c == s; })) {
+    ++stats_.halo_spec_hits;
+    return *h;
   }
   ++stats_.halo_spec_misses;
   halo::HaloHandle h(std::make_shared<const halo::HaloSpec>(s),
                      next_halo_uid_++);
-  stats_.resident_bytes +=
-      halo::HaloSpec::footprint_bytes() + sizeof(halo::HaloHandle);
-  halos_[key].push_back(h);
-  return h;
+  return halos_.admit(
+      key, std::move(h),
+      halo::HaloSpec::footprint_bytes() + sizeof(halo::HaloHandle), stats_);
 }
 
 halo::FamilyHandle DistRegistry::intern_family(
     std::vector<halo::HaloHandle> specs) {
   halo::HaloFamily f(std::move(specs));
-  if (!enabled_) return halo::FamilyHandle::wrap(std::move(f));
   const std::uint64_t key = f.hash();
-  for (const halo::FamilyHandle& cand : halo_families_[key]) {
-    if (*cand == f) {
-      ++stats_.halo_family_hits;
-      return cand;
-    }
+  if (const halo::FamilyHandle* h = halo_families_.find(
+          key, [&](const halo::FamilyHandle& c) { return *c == f; })) {
+    ++stats_.halo_family_hits;
+    return *h;
   }
   ++stats_.halo_family_misses;
   halo::FamilyHandle h(std::make_shared<const halo::HaloFamily>(std::move(f)),
                        next_family_uid_++);
-  stats_.resident_bytes += h->footprint_bytes() + sizeof(halo::FamilyHandle);
-  halo_families_[key].push_back(h);
-  return h;
+  const std::size_t bytes = h->footprint_bytes() + sizeof(halo::FamilyHandle);
+  return halo_families_.admit(key, std::move(h), bytes, stats_);
 }
 
 std::size_t DistRegistry::sweep() {
   ++epoch_;
-  std::size_t reclaimed = 0;
-  std::uint64_t pinned = 0;
-
-  const auto reclaim = [&](std::size_t bytes) {
-    sub_bytes(stats_.resident_bytes, bytes);
-    ++stats_.swept;
-    ++reclaimed;
-  };
-  // An entry is pinned iff anything besides the registry's own bucket
-  // still shares its pointer (a live array's handle chain, a cached
-  // plan, a schedule binding, a user handle).
-  const auto unpinned = [&](const auto& shared) {
-    if (shared.use_count() > 1) {
-      ++pinned;
-      return false;
-    }
-    return true;
-  };
-
+  stats_.pinned = 0;
   // Distributions first: destroying one releases its DimMapPtr and
   // ProcessorSectionPtr references, so components unshared after this
-  // pass fall to use_count()==1 before their own passes below.
-  for (auto it = dists_.begin(); it != dists_.end();) {
-    std::erase_if(it->second, [&](const DistHandle& h) {
-      if (!unpinned(h.ptr())) return false;
-      reclaim(h->footprint_bytes() + sizeof(DistHandle));
-      --n_dists_;
-      return true;
-    });
-    it = it->second.empty() ? dists_.erase(it) : std::next(it);
-  }
-
-  // Families before the member specs they hold handles to.
-  for (auto it = halo_families_.begin(); it != halo_families_.end();) {
-    std::erase_if(it->second, [&](const halo::FamilyHandle& h) {
-      if (!unpinned(h.p_)) return false;
-      reclaim(h->footprint_bytes() + sizeof(halo::FamilyHandle));
-      return true;
-    });
-    it = it->second.empty() ? halo_families_.erase(it) : std::next(it);
-  }
-
-  for (auto it = halos_.begin(); it != halos_.end();) {
-    std::erase_if(it->second, [&](const halo::HaloHandle& h) {
-      if (!unpinned(h.p_)) return false;
-      reclaim(halo::HaloSpec::footprint_bytes() + sizeof(halo::HaloHandle));
-      return true;
-    });
-    it = it->second.empty() ? halos_.erase(it) : std::next(it);
-  }
-
-  for (auto it = dim_maps_.begin(); it != dim_maps_.end();) {
-    std::erase_if(it->second, [&](const DimMapEntry& e) {
-      if (!unpinned(e.map)) return false;
-      reclaim(sizeof(DimMapEntry) + dim_dist_bytes(e.dd) +
-              e.map->footprint_bytes());
-      return true;
-    });
-    it = it->second.empty() ? dim_maps_.erase(it) : std::next(it);
-  }
-
-  for (auto it = sections_.begin(); it != sections_.end();) {
-    std::erase_if(it->second, [&](const ProcessorSectionPtr& p) {
-      if (!unpinned(p)) return false;
-      reclaim(p->footprint_bytes() + sizeof(ProcessorSectionPtr));
-      return true;
-    });
-    it = it->second.empty() ? sections_.erase(it) : std::next(it);
-  }
-
-  stats_.pinned = pinned;
-  return reclaimed;
+  // pass fall to use_count()==1 before their own passes below.  Families
+  // likewise go before the member specs they hold handles to.
+  std::size_t n =
+      dists_.sweep([](const DistHandle& h) -> auto& { return h.p_; }, stats_);
+  n += halo_families_.sweep(
+      [](const halo::FamilyHandle& h) -> auto& { return h.p_; }, stats_);
+  n += halos_.sweep([](const halo::HaloHandle& h) -> auto& { return h.p_; },
+                    stats_);
+  n += dim_maps_.sweep([](const DimMapEntry& e) -> auto& { return e.map; },
+                       stats_);
+  n += sections_.sweep([](const ProcessorSectionPtr& p) -> auto& { return p; },
+                       stats_);
+  return n;
 }
 
 void DistRegistry::clear() {
@@ -292,7 +261,6 @@ void DistRegistry::clear() {
   sections_.clear();
   halos_.clear();
   halo_families_.clear();
-  n_dists_ = 0;
   // Counters describe current contents; after a clear there are none.
   // uid counters intentionally survive (monotonic across clear/sweep).
   stats_ = RegistryStats{};

@@ -353,15 +353,10 @@ std::shared_ptr<const msg::RunPlan> HaloPlanCache::lookup_or_build(
     throw std::invalid_argument(
         "HaloPlanCache: null distribution or halo handle");
   }
-  const bool cacheable = d.interned() && h.interned();
-  if (cacheable) {
-    if (const Entry* e = cache_.find(key_of(d, h))) return e->plan;
-  }
+  if (const Entry* e = cache_.find(key_of(d, h))) return e->plan;
   auto plan = std::make_shared<const msg::RunPlan>(build_plan(*d, *h, me, np));
-  if (cacheable) {
-    cache_.insert(key_of(d, h), Entry{d, h, FamilyHandle{}, plan},
-                  sizeof(Entry) + plan->footprint_bytes());
-  }
+  cache_.insert(key_of(d, h), Entry{d, h, FamilyHandle{}, plan},
+                sizeof(Entry) + plan->footprint_bytes());
   return plan;
 }
 
@@ -371,16 +366,11 @@ std::shared_ptr<const msg::RunPlan> HaloPlanCache::lookup_or_build(
     throw std::invalid_argument(
         "HaloPlanCache: null distribution or family handle");
   }
-  const bool cacheable = d.interned() && f.interned();
-  if (cacheable) {
-    if (const Entry* e = cache_.find(key_of(d, f))) return e->plan;
-  }
+  if (const Entry* e = cache_.find(key_of(d, f))) return e->plan;
   auto plan = std::make_shared<const msg::RunPlan>(
       build_family_plan(*d, *f, me, np));
-  if (cacheable) {
-    cache_.insert(key_of(d, f), Entry{d, HaloHandle{}, f, plan},
-                  sizeof(Entry) + plan->footprint_bytes());
-  }
+  cache_.insert(key_of(d, f), Entry{d, HaloHandle{}, f, plan},
+                sizeof(Entry) + plan->footprint_bytes());
   return plan;
 }
 

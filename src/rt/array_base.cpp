@@ -306,17 +306,12 @@ void DistArrayBase::sweep_caches() {
 
 std::shared_ptr<const msg::RunPlan> DistArrayBase::redist_plan_for(
     const dist::DistHandle& nd) {
-  const bool cacheable = dist_.interned() && nd.interned();
   const std::uint64_t key = plan_key(dist_, nd);
-  if (cacheable) {
-    if (const PlanEntry* e = redist_plans_.find(key)) return e->plan;
-  }
+  if (const PlanEntry* e = redist_plans_.find(key)) return e->plan;
   auto plan = std::make_shared<const msg::RunPlan>(build_redist_plan(
       *dist_, *nd, env_->rank(), env_->nprocs(), ghost_lo_, ghost_hi_));
-  if (cacheable) {
-    const std::size_t bytes = sizeof(PlanEntry) + plan->footprint_bytes();
-    redist_plans_.insert(key, PlanEntry{dist_, nd, plan}, bytes);
-  }
+  const std::size_t bytes = sizeof(PlanEntry) + plan->footprint_bytes();
+  redist_plans_.insert(key, PlanEntry{dist_, nd, plan}, bytes);
   return plan;
 }
 
@@ -345,7 +340,7 @@ void DistArrayBase::distribute(const dist::DistHandle& nd,
         ": descriptor's index domain does not match the array");
   }
   // Canonicalize through this Env's registry so identity keys stay
-  // consistent even for handles wrapped elsewhere.
+  // consistent even for handles interned elsewhere.
   dist::DistHandle canon = env_->registry().intern(nd.ptr());
   check_range(canon->type());
   distribute_resolved(std::move(canon), nt);
@@ -495,12 +490,7 @@ void DistArrayBase::end_exchange_overlap() {
 }
 
 dist::DistHandle DistArrayBase::maybe_hybridize(dist::DistHandle nd) {
-  // Uninterned handles never hit identity-keyed caches; hybridizing them
-  // would re-run the O(N) table build on every flip.  Leave them alone.
-  if (!dist_.interned() || !nd.interned()) return nd;
-
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(dist_.uid()) << 32) | nd.uid();
+  const std::uint64_t key = plan_key(dist_, nd);
   if (const auto it = hybrid_memo_.find(key); it != hybrid_memo_.end()) {
     if (it->second) {
       ++hybrid_flips_;

@@ -53,9 +53,7 @@ Env::SweepReport Env::sweep() {
   // a live descriptor stays warm.
   std::vector<std::uint32_t> live;
   live.reserve(arrays_.size());
-  for (const auto* a : arrays_) {
-    if (a->dist_handle().interned()) live.push_back(a->dist_handle().uid());
-  }
+  for (const auto* a : arrays_) live.push_back(a->dist_handle().uid());
 
   SweepReport r;
   r.halo_plans_dropped = halo_plans_.sweep(live);

@@ -268,7 +268,7 @@ TEST(HaloFamily, InterningAndUniformity) {
   const halo::FamilyHandle uni = reg.intern_family({h1, h1});
   EXPECT_TRUE(uni->uniform());
   EXPECT_FALSE(uni->empty());
-  EXPECT_TRUE(uni.interned());
+  EXPECT_NE(uni.uid(), 0u);
   const halo::FamilyHandle asym = reg.intern_family({h1, h2});
   EXPECT_FALSE(asym->uniform());
   const halo::FamilyHandle asym2 = reg.intern_family({h1, h2});

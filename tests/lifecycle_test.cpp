@@ -4,8 +4,10 @@
 // bindings), including the stats-reset-on-clear bugfixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "spmd_test_util.hpp"
@@ -115,7 +117,7 @@ TEST(RegistrySweep, UidsAreNeverReusedAcrossSweepOrClear) {
 
 // ---- halo-plan cache lifecycle (standalone, purely local builds) ----------
 
-TEST(HaloPlanCacheLifecycle, ClearAndDisableResetStats) {
+TEST(HaloPlanCacheLifecycle, ClearResetsStats) {
   DistRegistry reg;
   const IndexDomain dom = IndexDomain::of_extents({16});
   const ProcessorSection sec(ProcessorArray::line(4));
@@ -137,12 +139,6 @@ TEST(HaloPlanCacheLifecycle, ClearAndDisableResetStats) {
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(cache.resident_bytes(), 0u);
-
-  ASSERT_NE(cache.lookup_or_build(d, h, 1, 4), nullptr);
-  cache.set_enabled(false);  // cold path: also a clear
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-  cache.set_enabled(true);
 }
 
 TEST(HaloPlanCacheLifecycle, ByteBudgetEvictsLruKeepsTouched) {
@@ -231,13 +227,12 @@ TEST(EnvSweep, CachedPlanPinsRetiredDescriptorUntilDropped) {
 
     // Dropping the plan cache un-pins it; the next sweep reclaims it and
     // a re-intern mints a strictly larger uid (never reused).
-    a.set_redist_plan_cache(false);
+    a.clear_redist_plans();
     env.sweep();
     const std::uint32_t fresh =
         env.intern(dom, DistributionType{block()}).uid();
     ck.check(fresh > old_uid, ctx.rank(),
              "reclaimed spelling reincarnates under a fresh uid");
-    a.set_redist_plan_cache(true);
 
     a.for_owned([&](const IndexVec& i, double& v) {
       ck.check_eq(v, 7.0 * i[0], ctx.rank(), "values intact");
@@ -263,10 +258,10 @@ TEST(EnvSweep, RankDependentReclaimKeepsLockstepQuiet) {
                               .overlap_hi = {1}});
     a.init([](const IndexVec& i) { return 2.0 * i[0]; });
     const std::uint32_t block_uid = a.dist_handle().uid();
-    // Only rank 0 caches no plans, so only there does the sweep reclaim
+    // Only rank 0 drops its plans, so only there does the sweep reclaim
     // BLOCK, and re-interning it mints a fresh uid.
-    if (ctx.rank() == 0) a.set_redist_plan_cache(false);
     a.distribute(DistributionType{s_block({2, 6, 4, 4})});
+    if (ctx.rank() == 0) a.clear_redist_plans();
     env.sweep();
     a.distribute(DistributionType{block()});
     ck.check_eq(a.dist_handle().uid() != block_uid, ctx.rank() == 0,
@@ -276,6 +271,71 @@ TEST(EnvSweep, RankDependentReclaimKeepsLockstepQuiet) {
       ck.check_eq(v, 2.0 * i[0], ctx.rank(), "values intact");
     });
   });
+}
+
+/// Clearing the registry while a live array still holds its handles (the
+/// benchmarks' cold rows clear before each timed flip or exchange) must
+/// not change a value: later statements intern fresh handles, and an
+/// asymmetric declaration whose widths agree on every rank still
+/// reconciles to a uniform family, so a width wider than a neighbour's
+/// segment clips as in the uniform case instead of being rejected.
+TEST(RegistryClear, LiveArrayComputesAsWithoutClears) {
+  constexpr int kProcs = 4;
+  constexpr Index kWidth = 3;
+  const IndexDomain dom = IndexDomain::of_extents({8});
+  // Each distribution the loop exchanges under, with its per-rank counts.
+  const std::vector<std::pair<DistributionType, std::vector<Index>>> dists =
+      {{{block()}, {2, 2, 2, 2}},
+       {{s_block({1, 3, 2, 2})}, {1, 3, 2, 2}},
+       {{s_block({2, 2, 3, 1})}, {2, 2, 3, 1}}};
+  const auto run = [&](bool clear) {
+    msg::Machine m(kProcs);
+    m.set_lockstep_check(true);
+    // Every rank's owned and filled ghost values, in exchange order.
+    std::vector<std::vector<double>> seen(kProcs);
+    testing::run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
+      const int me = ctx.rank();
+      Env env(ctx);
+      DistArray<double> a(env, {.name = "A",
+                                .domain = dom,
+                                .dynamic = true,
+                                .initial = dists.front().first,
+                                .overlap_lo = {kWidth},
+                                .overlap_hi = {kWidth},
+                                .overlap_asymmetric = true});
+      a.init([](const IndexVec& i) { return 1.5 * i[0]; });
+      for (std::size_t k = 0; k < dists.size(); ++k) {
+        if (k > 0) {
+          if (clear) env.registry().clear();
+          a.distribute(dists[k].first);
+        }
+        if (clear) env.registry().clear();
+        a.set_overlap({kWidth}, {kWidth}, false, /*asymmetric=*/true);
+        if (clear) env.registry().clear();
+        a.exchange_overlap();
+        ck.check(a.halo_family()->uniform(), me, "equal widths: uniform");
+        // Owned segment [first, last] and the widths clipped to the
+        // neighbours' counts.
+        const auto count = [&](int r) {
+          return r < 0 || r >= kProcs
+                     ? Index{0}
+                     : dists[k].second[static_cast<std::size_t>(r)];
+        };
+        Index first = 1;
+        for (int r = 0; r < me; ++r) first += count(r);
+        const Index last = first + count(me) - 1;
+        const Index lo = std::min(kWidth, count(me - 1));
+        const Index hi = std::min(kWidth, count(me + 1));
+        for (Index j = first - lo; j <= last + hi; ++j) {
+          ck.check_eq(a.halo({j}), 1.5 * j, me, "owned or clipped ghost");
+          seen[static_cast<std::size_t>(me)].push_back(a.halo({j}));
+        }
+      }
+    });
+    EXPECT_EQ(m.lockstep().mismatches(), 0u);
+    return seen;
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(EnvSweep, ThrowsWhileAnExchangeIsInFlight) {
@@ -371,7 +431,7 @@ TEST(RedistPlanCacheLifecycle, ByteBudgetEvictsAndReplayStaysCorrect) {
   });
 }
 
-TEST(RedistPlanCacheLifecycle, DisableResetsStatsWithContents) {
+TEST(RedistPlanCacheLifecycle, ClearResetsStatsWithContents) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
     const IndexDomain dom = IndexDomain::of_extents({32});
@@ -388,7 +448,7 @@ TEST(RedistPlanCacheLifecycle, DisableResetsStatsWithContents) {
 
     // The bugfix, mirrored from the halo cache: dropping the contents
     // drops the counters too.
-    a.set_redist_plan_cache(false);
+    a.clear_redist_plans();
     ck.check_eq(a.redist_plan_hits(), std::uint64_t{0}, ctx.rank(),
                 "hits reset");
     ck.check_eq(a.redist_plan_misses(), std::uint64_t{0}, ctx.rank(),
@@ -397,7 +457,6 @@ TEST(RedistPlanCacheLifecycle, DisableResetsStatsWithContents) {
                 "plans dropped");
     ck.check_eq(a.redist_plan_resident_bytes(), std::size_t{0}, ctx.rank(),
                 "bytes credited back");
-    a.set_redist_plan_cache(true);
   });
 }
 
