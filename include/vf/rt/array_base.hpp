@@ -602,6 +602,16 @@ class DistArrayBase {
     }
   }
 
+  /// Throws std::invalid_argument if ghost widths `lo`/`hi` sit in a
+  /// dimension that `d` does not map contiguously in coordinate order.  Every
+  /// geometry change runs it before it touches any state, so a rejected
+  /// DISTRIBUTE or set_overlap leaves the array as it was.  Each rank
+  /// checks its own widths: under an asymmetric declaration a rank
+  /// without widths in the dimension goes on into the exchange, and the
+  /// abort fence releases it once a rejecting rank's error escapes.
+  void check_ghosts_fit(const dist::Distribution& d, const dist::IndexVec& lo,
+                        const dist::IndexVec& hi) const;
+
   /// The one per-dimension bounds test of overlap-area access: whether
   /// global index x lies in [halo_lo_[d], halo_lo_[d] + halo_span_[d]],
   /// as a single unsigned compare.
@@ -704,19 +714,31 @@ class DistArrayBase {
   [[nodiscard]] std::shared_ptr<const msg::RunPlan> lookup_halo_plan();
 
   /// The DISTRIBUTE engine proper, after the target descriptor has been
-  /// resolved to an interned handle.
+  /// resolved to an interned handle.  It derives every connect-class
+  /// member's target and checks RANGE and ghost contiguity for all of
+  /// them before any data moves: a rejected statement throws the same
+  /// error on every rank, before any collective, with the class intact.
   void distribute_resolved(dist::DistHandle nd, const NoTransfer& nt);
 
+  /// Whether dimension 0 may carry ghost widths on some rank: the same
+  /// answer on every rank (an asymmetric declaration not yet reconciled
+  /// counts as ghosted).
+  [[nodiscard]] bool dim0_ghosted() const noexcept;
+
   /// Skew-policy gatekeeper: runs the detection pass over `nd` and returns
-  /// either `nd` unchanged or the interned hybrid H(dist_, nd).  Memoized
-  /// per (old, new) uid pair, so flip loops pay the O(N) inspector cost
-  /// once per direction and replay through the plan cache afterwards.
+  /// either `nd` unchanged or the interned hybrid H(dist_, nd).  It
+  /// declines (returns `nd`) when the hybrid's INDIRECT dimension 0 would
+  /// break the RANGE attribute or carry ghost widths (dim0_ghosted).
+  /// Memoized per (old, new) uid pair until the next set_overlap, so flip
+  /// loops pay the O(N) inspector cost once per direction and replay
+  /// through the plan cache afterwards.
   [[nodiscard]] dist::DistHandle maybe_hybridize(dist::DistHandle nd);
 
   /// Recomputes the allocation shape (counts, strides, segment bases)
   /// and the affine access form for the current distribution and ghost
   /// widths.  Every geometry change (DISTRIBUTE, no-transfer install,
-  /// descriptor-only swap, set_overlap reshape) goes through here.
+  /// descriptor-only swap, set_overlap reshape) goes through here, after
+  /// check_ghosts_fit has admitted it.
   void rebuild_storage_shape();
 
   [[nodiscard]] static std::uint64_t next_serial() noexcept {

@@ -268,8 +268,10 @@ class DistArray final : public DistArrayBase {
   /// storage reshape; ghost contents are invalidated (zeroed) until the
   /// next exchange_overlap().
   ///
-  /// Validation errors (rank mismatch, negative widths, a ghost wider
-  /// than a neighbour's segment at plan time) need not be thrown on
+  /// Validation errors (rank mismatch, negative widths, widths in a
+  /// dimension the distribution does not map contiguously -- all thrown
+  /// before anything changes -- or a ghost wider than a neighbour's
+  /// segment at plan time) need not be thrown on
   /// every rank: a lone failing rank trips the machine's abort fence and
   /// peers blocked in the spec exchange or the halo exchange wake with a
   /// RankAbort instead of hanging.
@@ -285,12 +287,15 @@ class DistArray final : public DistArrayBase {
     check_no_exchange_in_flight("set_overlap");
     const dist::IndexVec nlo = normalize_ghost(lo);
     const dist::IndexVec nhi = normalize_ghost(hi);
+    if (dist_) check_ghosts_fit(*dist_, nlo, nhi);
     halo::HaloHandle nh =
         env_->registry().intern(halo::HaloSpec(nlo, nhi, corners));
     halo_asymmetric_ = asymmetric;
     // Stale on every call: peers may have changed their widths even when
-    // this rank's handle is unchanged.
+    // this rank's handle is unchanged.  So are the hybridization
+    // decisions, which depend on every rank's dimension-0 widths.
     halo_family_ = halo::FamilyHandle{};
+    hybrid_memo_.clear();
     if (nh == halo_) return;
     if (!dist_) {
       ghost_lo_ = nlo;
@@ -332,6 +337,7 @@ class DistArray final : public DistArrayBase {
             dist::DistHandle sd = cclass_->construct_handle_for(
                 m, prim->dist_handle(), env.registry());
             check_range(sd->type());
+            check_ghosts_fit(*sd, ghost_lo_, ghost_hi_);
             install_distribution(std::move(sd));
             break;
           }
@@ -357,6 +363,7 @@ class DistArray final : public DistArrayBase {
       }
       dist::DistHandle d = env.registry().intern(spec.initial_dist.ptr());
       check_range(d->type());
+      check_ghosts_fit(*d, ghost_lo_, ghost_hi_);
       install_distribution(std::move(d));
       return;
     }
@@ -364,6 +371,7 @@ class DistArray final : public DistArrayBase {
       dist::DistHandle d = env.registry().intern(
           dom_, *spec.initial, spec.to ? *spec.to : env.whole());
       check_range(d->type());
+      check_ghosts_fit(*d, ghost_lo_, ghost_hi_);
       install_distribution(std::move(d));
     }
   }

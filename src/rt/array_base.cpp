@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "vf/dist/skew.hpp"
 #include "vf/halo/exchange.hpp"
@@ -113,6 +114,39 @@ void DistArrayBase::check_no_exchange_in_flight(const char* op) const {
   }
 }
 
+namespace {
+
+/// Whether the halo layer can serve ghosts in `m`: every coordinate owns
+/// an interval, and the intervals follow the coordinate order (a halo
+/// plan takes the neighbours of coordinate c to be c - 1 and c + 1).  An
+/// INDIRECT map can be contiguous with its coordinates out of order.
+bool ghost_capable(const dist::DimMap& m) {
+  if (!m.contiguous()) return false;
+  dist::Index prev = m.dom().lo - 1;
+  for (int c = 0; c < m.nprocs(); ++c) {
+    const auto s = m.segment(c);
+    if (!s) continue;
+    if (s->lo <= prev) return false;
+    prev = s->hi;
+  }
+  return true;
+}
+
+}  // namespace
+
+void DistArrayBase::check_ghosts_fit(const dist::Distribution& d,
+                                     const dist::IndexVec& lo,
+                                     const dist::IndexVec& hi) const {
+  for (int k = 0; k < dom_.rank(); ++k) {
+    if ((lo[k] > 0 || hi[k] > 0) && !ghost_capable(d.dim_map(k))) {
+      throw std::invalid_argument(
+          "array " + name_ +
+          ": overlap areas require a contiguous distribution in dimension " +
+          std::to_string(k));
+    }
+  }
+}
+
 void DistArrayBase::rebuild_storage_shape() {
   const int r = dom_.rank();
   alloc_counts_ = dist::IndexVec::filled(r, 0);
@@ -126,12 +160,6 @@ void DistArrayBase::rebuild_storage_shape() {
   for (int d = 0; d < r; ++d) {
     const auto& m = dist_->dim_map(d);
     contig_[static_cast<std::size_t>(d)] = m.contiguous();
-    if ((ghost_lo_[d] > 0 || ghost_hi_[d] > 0) && !m.contiguous()) {
-      throw std::invalid_argument(
-          "array " + name_ +
-          ": overlap areas require a contiguous distribution in dimension " +
-          std::to_string(d));
-    }
     if (!layout_.member) continue;
     if (m.contiguous()) {
       auto seg = m.segment(static_cast<int>(layout_.coords[d]));
@@ -361,22 +389,30 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
   // this very handle and interning makes the derivation stable).
   if (dist_ == nd) return;
 
-  // Primary: move data unless this is the first distribution or a no-op
-  // (equivalent mappings still swap descriptors so queries see the
-  // requested type).
-  switch_distribution(std::move(nd), dist_ != nullptr);
-
-  // Steps 2+3: determine the distributions of connected arrays and
-  // communicate.
-  for (const auto& m : cclass_->secondaries()) {
+  // Step 2: determine the distributions of connected arrays, and admit
+  // the whole statement before anything moves.  The primary's RANGE was
+  // checked on the nominal target (and a hybrid only replaces one it
+  // admits).
+  check_ghosts_fit(*nd, ghost_lo_, ghost_hi_);
+  const auto& secondaries = cclass_->secondaries();
+  std::vector<dist::DistHandle> targets;
+  targets.reserve(secondaries.size());
+  for (const auto& m : secondaries) {
     dist::DistHandle sd =
-        cclass_->construct_handle_for(m, dist_, env_->registry());
-    if (!query::range_allows(m.array->range_, sd->type())) {
-      throw RangeViolationError(m.array->name_, sd->type().to_string());
-    }
-    DistArrayBase* a = m.array;
-    if (a->dist_ == sd) continue;
-    a->switch_distribution(std::move(sd),
+        cclass_->construct_handle_for(m, nd, env_->registry());
+    m.array->check_range(sd->type());
+    m.array->check_ghosts_fit(*sd, m.array->ghost_lo_, m.array->ghost_hi_);
+    targets.push_back(std::move(sd));
+  }
+
+  // Step 3: communicate.  The primary moves data unless this is the
+  // first distribution or a no-op (equivalent mappings still swap
+  // descriptors so queries see the requested type).
+  switch_distribution(std::move(nd), dist_ != nullptr);
+  for (std::size_t k = 0; k < secondaries.size(); ++k) {
+    DistArrayBase* a = secondaries[k].array;
+    if (a->dist_ == targets[k]) continue;
+    a->switch_distribution(std::move(targets[k]),
                            a->dist_ != nullptr && !nt.contains(a));
   }
 }
@@ -489,6 +525,19 @@ void DistArrayBase::end_exchange_overlap() {
   pending_exchange_tag_ = 0;
 }
 
+bool DistArrayBase::dim0_ghosted() const noexcept {
+  // A uniform declaration's widths are every rank's.  An asymmetric one
+  // is known only once reconciled, and counts as ghosted until then, so
+  // every rank takes the same decision.
+  if (!halo_asymmetric_) return ghost_lo_[0] > 0 || ghost_hi_[0] > 0;
+  if (!halo_family_) return true;
+  for (int p = 0; p < halo_family_->nprocs(); ++p) {
+    const halo::HaloSpec& s = halo_family_->spec_of(p);
+    if (s.rank() > 0 && (s.lo(0) > 0 || s.hi(0) > 0)) return true;
+  }
+  return false;
+}
+
 dist::DistHandle DistArrayBase::maybe_hybridize(dist::DistHandle nd) {
   const std::uint64_t key = plan_key(dist_, nd);
   if (const auto it = hybrid_memo_.find(key); it != hybrid_memo_.end()) {
@@ -511,8 +560,10 @@ dist::DistHandle DistArrayBase::maybe_hybridize(dist::DistHandle nd) {
     const dist::SkewConfig cfg{skew_threshold_, skew_cap_factor_};
     hybrid = dist::hybridize(env_->registry(), dist_, nd, cfg);
     // The hybrid carries an INDIRECT dimension-0 type; an array whose
-    // RANGE attribute forbids that must fall back to the nominal target.
-    if (hybrid && !query::range_allows(range_, hybrid->type())) {
+    // RANGE attribute forbids that, or whose dimension 0 may carry ghost
+    // widths on some rank, must fall back to the nominal target.
+    if (hybrid && (!query::range_allows(range_, hybrid->type()) ||
+                   dim0_ghosted())) {
       hybrid = dist::DistHandle{};
     }
   }

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "halo_fuzz_util.hpp"
+#include "fuzz_chain.hpp"
 #include "run_plan_util.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/halo/exchange.hpp"
@@ -413,27 +413,26 @@ TEST(HaloPlanCache, UniformFamilyHitsPrePRKey) {
 /// reading owned cells only, and both ends of every transfer agreeing on
 /// its size.
 TEST(HaloPlanFormat, UnpackRunsFillEachGhostCellOnce) {
+  namespace fuzz = testing::fuzz;
   int asymmetric_cases = 0;
   int corner_cases = 0;
-  for (const testing::FuzzConfig& cfg : testing::kFuzzConfigs) {
+  for (const fuzz::MachineConfig& cfg : fuzz::kMachines) {
     const int np = cfg.nprocs;
-    const dist::ProcessorSection sec(
-        cfg.grid ? dist::ProcessorArray::grid(cfg.q0, cfg.q1)
-                 : dist::ProcessorArray::line(np));
     for (unsigned seed = 1; seed <= 12; ++seed) {
       for (const bool asymmetric : {false, true}) {
         std::mt19937 rng(seed);
-        const dist::Index n0 = 2 + static_cast<dist::Index>(rng() % 9);
-        const dist::Index n1 = 2 + static_cast<dist::Index>(rng() % 9);
+        const int rank = 1 + static_cast<int>(seed % dist::kMaxRank);
+        const IndexDomain dom = fuzz::draw_domain(rng, rank);
+        fuzz::Contiguous contiguous;
+        contiguous.fill(true);
         dist::DistRegistry reg;
-        const dist::DistHandle d =
-            reg.intern(IndexDomain::of_extents({n0, n1}),
-                       testing::random_dist(rng, cfg, n0, n1), sec);
-        const std::vector<testing::RankSpec> specs =
-            testing::draw_specs(rng, np, asymmetric, *d);
-        if (asymmetric && !testing::specs_valid(specs, *d, np)) continue;
+        const dist::DistHandle d = fuzz::draw_target(
+            rng, reg, dom, fuzz::processors(cfg, rank), contiguous);
+        const std::vector<fuzz::RankSpec> specs =
+            fuzz::draw_specs(rng, np, asymmetric, *d);
+        if (asymmetric && !fuzz::specs_valid(specs, *d)) continue;
         std::vector<halo::HaloHandle> hs;
-        for (const testing::RankSpec& s : specs) {
+        for (const fuzz::RankSpec& s : specs) {
           hs.push_back(reg.intern(halo::HaloSpec(s.lo, s.hi, s.corners)));
         }
         const halo::HaloFamily fam(hs);
@@ -450,7 +449,7 @@ TEST(HaloPlanFormat, UnpackRunsFillEachGhostCellOnce) {
         }
         for (int me = 0; me < np; ++me) {
           const msg::RunPlan& plan = plans[static_cast<std::size_t>(me)];
-          const testing::RankSpec& mine = specs[static_cast<std::size_t>(me)];
+          const fuzz::RankSpec& mine = specs[static_cast<std::size_t>(me)];
           const std::string at = tag + " rank " + std::to_string(me);
           testing::expect_csr_form(plan, np, at);
           const testing::StorageShape shape =
@@ -460,8 +459,8 @@ TEST(HaloPlanFormat, UnpackRunsFillEachGhostCellOnce) {
           const std::vector<int> out =
               testing::coverage(plan.pack, shape.total, at + " pack");
           if (shape.total == 0) continue;
-          const testing::Fill fill =
-              testing::expected_fill(mine, *d, d->layout_for(me));
+          const fuzz::Fill fill =
+              fuzz::expected_fill(mine, *d, d->layout_for(me));
           testing::for_each_slot(shape, [&](const auto& pos, bool owned,
                                             std::size_t off) {
             if (owned) {
@@ -471,7 +470,7 @@ TEST(HaloPlanFormat, UnpackRunsFillEachGhostCellOnce) {
             EXPECT_EQ(out[off], 0) << at << " ghost slot packed " << off;
             bool reach = true;
             int ghost_dims = 0;
-            for (std::size_t k = 0; k < 2; ++k) {
+            for (std::size_t k = 0; k < static_cast<std::size_t>(rank); ++k) {
               if (pos[k] < 0) {
                 reach = reach && -pos[k] <= fill.lo[k];
               } else if (pos[k] >= shape.counts[k]) {

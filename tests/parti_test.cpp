@@ -10,6 +10,7 @@
 #include <random>
 #include <set>
 
+#include "fuzz_chain.hpp"
 #include "run_plan_util.hpp"
 #include "schedule_test_access.hpp"
 #include "spmd_test_util.hpp"
@@ -889,6 +890,47 @@ TEST(Schedule, RunSidesMatchTheInspectorModel) {
       });
     }
   }
+}
+
+/// Cross-layer leg: a PARTI halo-aware gather under an asymmetric family
+/// serves overlap-area reads from ghost storage (zero transport) with the
+/// values the asymmetric exchange placed there.
+TEST(Schedule, AsymmetricHaloSatisfiedGather) {
+  run_checked(4, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    const Index n = 16;
+    const IndexDomain dom = IndexDomain::of_extents({n});
+    DistArray<double> a(env, {.name = "G",
+                              .domain = dom,
+                              .dynamic = true,
+                              .initial = DistributionType{block()}});
+    a.init(testing::fuzz::fingerprint_of(dom));
+    // Rank r asks for (r % 3) + 1 ghost planes on each side: widths 1..3
+    // against 4-cell segments, different on every rank.
+    const Index w = static_cast<Index>(ctx.rank() % 3) + 1;
+    a.set_overlap({w}, {w}, false, /*asymmetric=*/true);
+    a.exchange_overlap();
+
+    // Request every cell within my filled reach (owned + ghost planes).
+    const auto seg = a.distribution().dim_map(0).segment(
+        static_cast<int>(a.layout().coords[0]));
+    if (!seg) return ck.fail("BLOCK rank owns no segment");
+    std::vector<IndexVec> pts;
+    for (Index i = std::max<Index>(1, seg->lo - w);
+         i <= std::min<Index>(n, seg->hi + w); ++i) {
+      pts.push_back({i});
+    }
+    Schedule sched(ctx, a.dist_handle(), pts, a.halo_spec());
+    ck.check(sched.n_unique_offproc() == 0, ctx.rank(),
+             "asymmetric halo reads still travelled");
+    ck.check(sched.n_halo() > 0, ctx.rank(), "no halo-satisfied points");
+    std::vector<double> out(pts.size());
+    sched.gather(ctx, a, out);
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+      ck.check_eq(out[k], testing::fuzz::fingerprint(dom.linearize(pts[k])),
+                  ctx.rank(), "halo gather value");
+    }
+  });
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // NOTRANSFER suppresses data motion.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "spmd_test_util.hpp"
 #include "vf/rt/dist_array.hpp"
 
@@ -244,11 +246,51 @@ TEST(Connect, SecondaryRangeIsCheckedOnPropagation) {
                       .dynamic = true,
                       .range = {query::TypePattern{query::p_block()}}},
                      Connection::extraction(b));
+    b.init([](const IndexVec& i) { return 10 * i[0]; });
+    const dist::DistHandle b_before = b.dist_handle();
+    const dist::DistHandle a_before = a.dist_handle();
     try {
       b.distribute(DistributionType{cyclic(1)});
       ck.fail("expected RangeViolationError via secondary");
     } catch (const RangeViolationError&) {
     }
+    // The statement is rejected before the primary moves: the class stays
+    // on BLOCK together.
+    ck.check(b.dist_handle() == b_before, ctx.rank(), "primary unchanged");
+    ck.check(a.dist_handle() == a_before, ctx.rank(), "secondary unchanged");
+    b.for_owned([&](const IndexVec& i, int& v) {
+      ck.check_eq(v, 10 * i[0], ctx.rank(), "primary values kept");
+    });
+  });
+}
+
+// A secondary's ghost widths are checked against its derived target
+// before anything moves, like its RANGE.
+TEST(Connect, SecondaryGhostsAreCheckedBeforeMotion) {
+  run_checked(2, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    DistArray<int> b(env, {.name = "B",
+                           .domain = IndexDomain::of_extents({8}),
+                           .dynamic = true,
+                           .initial = DistributionType{block()}});
+    DistArray<int> a(env,
+                     {.name = "A",
+                      .domain = IndexDomain::of_extents({8}),
+                      .dynamic = true,
+                      .overlap_lo = {1},
+                      .overlap_hi = {1}},
+                     Connection::extraction(b));
+    const dist::DistHandle before = b.dist_handle();
+    try {
+      b.distribute(DistributionType{cyclic(1)});
+      ck.fail("expected invalid_argument via the secondary's ghosts");
+    } catch (const std::invalid_argument& e) {
+      ck.check(std::string(e.what()).starts_with("array A:"), ctx.rank(),
+               e.what());
+    }
+    ck.check(b.dist_handle() == before && a.dist_handle() == before &&
+                 a.alloc_total() == 6,
+             ctx.rank(), "class unchanged");
   });
 }
 

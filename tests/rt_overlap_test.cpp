@@ -3,9 +3,11 @@
 // and the exchange operation used by the smoothing example of Section 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "spmd_test_util.hpp"
 #include "vf/rt/dist_array.hpp"
@@ -130,19 +132,78 @@ TEST(Overlap, CollapsedDimNeedsNoExchange) {
   });
 }
 
+// Ghosts need a contiguous dimension whose coordinates follow the index
+// order: CYCLIC(1) is refused at declaration and by set_overlap (which
+// leaves the array as it was), and so is an INDIRECT map whose owned
+// intervals are out of coordinate order (the halo plans would take the
+// wrong neighbours).
 TEST(Overlap, RejectsGhostOnNonContiguousDim) {
   run_checked(2, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
+    const auto declare = [&](dist::DimDist d, dist::Index w) {
+      return DistArray<double>(env, {.name = "A",
+                                     .domain = IndexDomain::of_extents({16}),
+                                     .dynamic = true,
+                                     .initial = DistributionType{d},
+                                     .overlap_lo = {w},
+                                     .overlap_hi = {w}});
+    };
+    std::vector<int> reversed(16, 1);
+    std::fill(reversed.begin() + 8, reversed.end(), 0);
+    for (const dist::DimDist& d : {cyclic(1), dist::indirect(reversed)}) {
+      try {
+        (void)declare(d, 1);
+        ck.fail("expected invalid_argument for " + d.to_string());
+      } catch (const std::invalid_argument&) {
+      }
+    }
+    DistArray<double> c = declare(cyclic(1), 0);
+    const halo::HaloHandle spec = c.halo_spec();
     try {
-      DistArray<double> a(env, {.name = "A",
-                                .domain = IndexDomain::of_extents({16}),
-                                .dynamic = true,
-                                .initial = DistributionType{cyclic(1)},
-                                .overlap_lo = {1},
-                                .overlap_hi = {1}});
-      ck.fail("expected invalid_argument (cyclic ghost)");
+      c.set_overlap({1}, {1});
+      ck.fail("expected invalid_argument (set_overlap on CYCLIC(1))");
     } catch (const std::invalid_argument&) {
     }
+    ck.check(c.halo_spec() == spec && c.alloc_total() == 8, ctx.rank(),
+             "set_overlap left the array as it was");
+  });
+}
+
+// A DISTRIBUTE whose target cannot carry the declared ghosts was refused
+// only when the new storage shape was built, after the exchange and the
+// descriptor swap: the array then reported CYCLIC(1) over the old padded
+// storage.  It is refused before any collective, the array unchanged.
+TEST(Overlap, RejectedDistributeLeavesArrayUnchanged) {
+  run_checked(2, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    DistArray<double> a(env, {.name = "A",
+                              .domain = IndexDomain::of_extents({16}),
+                              .dynamic = true,
+                              .initial = DistributionType{dist::block_width(8)},
+                              .overlap_lo = {1},
+                              .overlap_hi = {1}});
+    a.init([](const IndexVec& i) { return 0.5 + static_cast<double>(i[0]); });
+    a.exchange_overlap();
+    const dist::DistHandle before = a.dist_handle();
+    const std::vector<double> storage(a.local_span().begin(),
+                                      a.local_span().end());
+    const msg::CommStats traffic = ctx.stats();
+    try {
+      a.distribute(DistributionType{cyclic(1)});
+      ck.fail("expected invalid_argument (CYCLIC(1) under ghosts)");
+    } catch (const std::invalid_argument& e) {
+      ck.check(std::string(e.what()) ==
+                   "array A: overlap areas require a contiguous "
+                   "distribution in dimension 0",
+               ctx.rank(), e.what());
+    }
+    ck.check(a.dist_handle() == before && a.alloc_total() == 10 &&
+                 std::equal(storage.begin(), storage.end(),
+                            a.local_span().begin(), a.local_span().end()),
+             ctx.rank(), "descriptor, owned and ghost values kept");
+    ck.check(ctx.stats().collectives == traffic.collectives &&
+                 ctx.stats().data_messages == traffic.data_messages,
+             ctx.rank(), "refused before any collective");
   });
 }
 

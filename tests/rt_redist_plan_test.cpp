@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "halo_fuzz_util.hpp"
+#include "fuzz_chain.hpp"
 #include "run_plan_util.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/rt/dist_array.hpp"
@@ -179,34 +179,6 @@ TEST(RedistPlanCache, GhostPaddedStorageRedistributesCorrectly) {
   });
 }
 
-/// Any per-dimension distribution over `q` coordinates: BLOCK/S_BLOCK
-/// (the halo fuzz generator), CYCLIC(k) or INDIRECT.
-dist::DimDist random_dim(std::mt19937& rng, Index extent, int q) {
-  switch (rng() % 3) {
-    case 0:
-      return testing::random_contiguous(rng, extent, q);
-    case 1:
-      return cyclic(1 + static_cast<Index>(rng() % 3));
-    default: {
-      std::vector<int> owners(static_cast<std::size_t>(extent));
-      for (auto& o : owners) o = static_cast<int>(rng() % q);
-      return dist::indirect(std::move(owners));
-    }
-  }
-}
-
-DistributionType random_type(std::mt19937& rng, const testing::FuzzConfig& cfg,
-                             Index n0, Index n1) {
-  if (cfg.grid) {
-    return DistributionType{random_dim(rng, n0, cfg.q0),
-                            random_dim(rng, n1, cfg.q1)};
-  }
-  if (rng() % 2 == 0) {
-    return DistributionType{random_dim(rng, n0, cfg.nprocs), col()};
-  }
-  return DistributionType{col(), random_dim(rng, n1, cfg.nprocs)};
-}
-
 /// Plan-format invariants of the redistribution builder over seeded
 /// (old, new, ghost) triples: CSR form, per-peer counts, runs inside the
 /// allocation, each side's runs covering every owned slot of its storage
@@ -215,24 +187,21 @@ DistributionType random_type(std::mt19937& rng, const testing::FuzzConfig& cfg,
 TEST(RedistPlanFormat, RunsCoverOwnedStorageExactlyOnce) {
   int cyclic_or_indirect = 0;
   int ghosted = 0;
-  for (const testing::FuzzConfig& cfg : testing::kFuzzConfigs) {
+  for (const testing::fuzz::MachineConfig& cfg : testing::fuzz::kMachines) {
     const int np = cfg.nprocs;
-    const dist::ProcessorSection sec(
-        cfg.grid ? dist::ProcessorArray::grid(cfg.q0, cfg.q1)
-                 : dist::ProcessorArray::line(np));
     for (unsigned seed = 1; seed <= 16; ++seed) {
       std::mt19937 rng(seed);
-      const Index n0 = 2 + static_cast<Index>(rng() % 11);
-      const Index n1 = 2 + static_cast<Index>(rng() % 11);
-      const IndexDomain dom = IndexDomain::of_extents({n0, n1});
+      const int rank = 1 + static_cast<int>(seed % dist::kMaxRank);
+      const dist::ProcessorArray procs = testing::fuzz::processors(cfg, rank);
+      const IndexDomain dom = testing::fuzz::draw_domain(rng, rank);
       dist::DistRegistry reg;
       const dist::DistHandle od =
-          reg.intern(dom, random_type(rng, cfg, n0, n1), sec);
+          testing::fuzz::draw_target(rng, reg, dom, procs);
       const dist::DistHandle nd =
-          reg.intern(dom, random_type(rng, cfg, n0, n1), sec);
-      IndexVec glo = IndexVec::filled(2, 0);
-      IndexVec ghi = IndexVec::filled(2, 0);
-      for (int k = 0; k < 2; ++k) {
+          testing::fuzz::draw_target(rng, reg, dom, procs);
+      IndexVec glo = IndexVec::filled(rank, 0);
+      IndexVec ghi = IndexVec::filled(rank, 0);
+      for (int k = 0; k < rank; ++k) {
         if (od->dim_map(k).contiguous() && nd->dim_map(k).contiguous()) {
           glo[k] = static_cast<Index>(rng() % 3);
           ghi[k] = static_cast<Index>(rng() % 3);

@@ -1,6 +1,8 @@
 // Skew-aware redistribution (PRPD hybrid plans): detection, hybridization,
 // end-to-end DISTRIBUTE equivalence, the PARTI partial-duplication
-// schedule, per-peer CommStats, and fault containment.
+// schedule, per-peer CommStats, and fault containment.  The random
+// DISTRIBUTE chains of a forced-hybrid twin against the all-to-owner
+// reference run in fuzz_chain_test.
 //
 // The correctness bar throughout is BITWISE equality with the plain
 // all-to-owner reference on dyadic values: hybridization only reroutes
@@ -12,8 +14,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "spmd_test_util.hpp"
@@ -26,7 +28,6 @@
 namespace vf::rt {
 namespace {
 
-using dist::DimDist;
 using dist::DimDistKind;
 using dist::DistHandle;
 using dist::DistRegistry;
@@ -288,6 +289,52 @@ TEST(SkewRedist, SkewedTargetIsHybridizedAndBalanced) {
   });
 }
 
+/// A hybrid's INDIRECT dimension 0 cannot carry ghost widths, so an
+/// array with dimension-0 ghosts on some rank gets the nominal target and
+/// no hybrid flip, on every rank.  Before, the flip threw after the
+/// exchange and left INDIRECT(64) over the padded storage.  The decision
+/// is memoized per (old, new) pair, so every set_overlap drops the memo,
+/// also on a rank whose own widths did not change.
+TEST(SkewRedist, GhostedDimensionZeroIsNotHybridized) {
+  run_checked(8, [](Context& ctx, SpmdChecker& ck) {
+    Env env(ctx);
+    const IndexDomain dom({dist::Range{1, 64}});
+    DistArray<double> a(env, {.name = "A",
+                              .domain = dom,
+                              .dynamic = true,
+                              .initial = {{dist::block()}},
+                              .overlap_lo = {1},
+                              .overlap_hi = {1}});
+    a.init([&](const IndexVec& i) {
+      return 0.5 + static_cast<double>(dom.linearize(i));
+    });
+    a.set_skew_policy(DistArrayBase::SkewPolicy::Auto);
+    const DistributionType skewed{dist::s_block({57, 1, 1, 1, 1, 1, 1, 1})};
+    const auto check = [&](Index w, bool hybrid, std::uint64_t flips) {
+      ck.check_eq(a.hybrid_flips(), flips, ctx.rank(), "hybrid flips");
+      ck.check((a.distribution().type() == skewed) != hybrid, ctx.rank(),
+               "nominal target installed exactly when not hybridized");
+      ck.check_eq(a.alloc_total(), a.layout().total + 2 * w, ctx.rank(),
+                  "storage shape");
+      double want = 0.5;
+      for (const double v : a.gather_global()) {
+        ck.check_eq(v, want++, ctx.rank(), "fingerprint");
+      }
+    };
+    a.distribute(skewed);  // the uniform declaration of the Spec
+    check(1, false, 0);
+    // Asymmetric: no widths (hybridized), then widths on rank 1 only.
+    for (const bool ghosts : {false, true}) {
+      const Index w = ghosts && ctx.rank() == 1 ? 1 : 0;
+      a.distribute(DistributionType{dist::block()});
+      a.set_overlap({w}, {w});
+      a.exchange_overlap();  // reconciles the family
+      a.distribute(skewed);
+      check(w, !ghosts, 1);
+    }
+  });
+}
+
 TEST(SkewRedist, UniformTargetKeepsExistingPathAtZeroOverhead) {
   run_checked(4, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
@@ -327,94 +374,6 @@ TEST(SkewRedist, UniformTargetKeepsExistingPathAtZeroOverhead) {
                   "fingerprint");
     }
   });
-}
-
-/// Draws a random 1-D distribution: the full family the DISTRIBUTE
-/// machinery supports, including Zipf-ish indirect tables biased toward
-/// low ranks (the skewed case hybridization rewrites).
-DistributionType random_dist_1d(std::mt19937& rng, Index n, int nprocs) {
-  switch (rng() % 5) {
-    case 0:
-      return DistributionType{dist::block()};
-    case 1:
-      return DistributionType{
-          dist::cyclic(1 + static_cast<Index>(rng() % 4))};
-    case 2: {
-      std::vector<Index> sizes(static_cast<std::size_t>(nprocs), 0);
-      Index rest = n;
-      for (int c = 0; c < nprocs - 1; ++c) {
-        sizes[static_cast<std::size_t>(c)] =
-            static_cast<Index>(rng() % (rest + 1));
-        rest -= sizes[static_cast<std::size_t>(c)];
-      }
-      sizes[static_cast<std::size_t>(nprocs - 1)] = rest;
-      return DistributionType{dist::s_block(std::move(sizes))};
-    }
-    case 3: {
-      std::vector<int> owners(static_cast<std::size_t>(n));
-      for (auto& o : owners) o = static_cast<int>(rng() % nprocs);
-      return DistributionType{dist::indirect(std::move(owners))};
-    }
-    default: {
-      // min of two uniforms: quadratically biased toward rank 0.
-      std::vector<int> owners(static_cast<std::size_t>(n));
-      for (auto& o : owners) {
-        const int r1 = static_cast<int>(rng() % nprocs);
-        const int r2 = static_cast<int>(rng() % nprocs);
-        o = r1 < r2 ? r1 : r2;
-      }
-      return DistributionType{dist::indirect(std::move(owners))};
-    }
-  }
-}
-
-/// Twin arrays through identical random DISTRIBUTE chains -- one with the
-/// skew machinery off (the all-to-owner reference), one forced hybrid --
-/// must stay bitwise identical on dyadic values, at every machine size
-/// and under both transports.
-TEST(SkewRedist, FuzzHybridMatchesAllToOwnerBitwise) {
-  constexpr Index kN = 96;
-  constexpr int kSteps = 10;
-  for (const int np : {1, 4, 9}) {
-    for (const auto kind :
-         {msg::TransportKind::Mailbox, msg::TransportKind::SharedMemory}) {
-      msg::Machine m(np, {}, kind);
-      run_checked_on(m, [&](Context& ctx, SpmdChecker& ck) {
-        Env env(ctx);
-        const IndexDomain dom({dist::Range{1, kN}});
-        DistArray<double> ref(env, {.name = "REF",
-                                    .domain = dom,
-                                    .dynamic = true,
-                                    .initial = {{dist::block()}}});
-        DistArray<double> hyb(env, {.name = "HYB",
-                                    .domain = dom,
-                                    .dynamic = true,
-                                    .initial = {{dist::block()}}});
-        const auto fingerprint = [&](const IndexVec& i) {
-          return 0.5 * static_cast<double>(dom.linearize(i) % 1024);
-        };
-        ref.init(fingerprint);
-        hyb.init(fingerprint);
-        // Force: hybridize every applicable flip, skewed or not -- the
-        // widest stress of the rewrite.
-        hyb.set_skew_policy(DistArrayBase::SkewPolicy::Force,
-                            /*threshold=*/4.0, /*cap_factor=*/1.0);
-        // Same seed on every rank: the chain is SPMD-deterministic.
-        std::mt19937 rng(1234u + static_cast<unsigned>(np) +
-                         (kind == msg::TransportKind::SharedMemory ? 7u : 0u));
-        for (int step = 0; step < kSteps; ++step) {
-          const DistributionType t = random_dist_1d(rng, kN, np);
-          ref.distribute(t);
-          hyb.distribute(t);
-          const auto gr = ref.gather_global();
-          const auto gh = hyb.gather_global();
-          ck.check(gr == gh, ctx.rank(),
-                   "bitwise divergence at np=" + std::to_string(np) +
-                       " step=" + std::to_string(step));
-        }
-      });
-    }
-  }
 }
 
 // ---- PARTI Schedule: partial duplication ----------------------------------

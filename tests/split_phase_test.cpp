@@ -1,19 +1,15 @@
-// Split-phase halo exchange: begin/end must be bitwise-equivalent to the
-// blocking exchange_overlap under the full halo fuzz space (random
-// contiguous distributions, per-rank asymmetric specs, DISTRIBUTE flips,
-// empty ranks, P in {1, 4, 9}), the interior/boundary traversal pair must
-// partition the owned set exactly, the in-flight misuse guards must throw
-// the documented structured errors without corrupting the array, and the
+// Split-phase halo exchange: the in-flight misuse guards must throw the
+// documented structured errors without corrupting the array, and the
 // split-phase application paths (smoothing, AMR front, ADI coupled RHS)
-// must reproduce their blocking checksums bitwise.
+// must reproduce their blocking checksums bitwise.  Bitwise equality with
+// the blocking exchange and the exact interior/boundary partition under
+// random distributions and specs are checked by fuzz_chain_test.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <random>
 #include <string>
 #include <vector>
 
-#include "halo_fuzz_util.hpp"
+#include "fuzz_chain.hpp"
 #include "spmd_test_util.hpp"
 #include "vf/apps/adi_sim.hpp"
 #include "vf/apps/amr_front.hpp"
@@ -29,138 +25,8 @@ using dist::Index;
 using dist::IndexDomain;
 using dist::IndexVec;
 using msg::Context;
-using testing::draw_specs;
-using testing::fingerprint;
-using testing::FuzzConfig;
-using testing::kFuzzConfigs;
-using testing::random_dist;
-using testing::RankSpec;
-using testing::specs_valid;
 using testing::SpmdChecker;
-
-/// Twin-array chain: BLK exchanges blocking, SPL split-phase, both walked
-/// through the identical sequence of re-specs and DISTRIBUTE flips.  After
-/// every step the two local storages (owned + every ghost cell) must
-/// compare bitwise, and the interior/boundary pair must have visited each
-/// owned cell of SPL exactly once and nothing else.
-void run_twin_chain(const FuzzConfig& cfg, unsigned seed) {
-  constexpr int kSteps = 5;
-  msg::Machine machine(cfg.nprocs);
-  SpmdChecker ck;
-  msg::run_spmd(machine, [&](Context& ctx) {
-    std::mt19937 rng(seed);
-    Env env(ctx, cfg.grid ? dist::ProcessorArray::grid(cfg.q0, cfg.q1)
-                          : dist::ProcessorArray::line(cfg.nprocs));
-    const Index n0 = 2 + static_cast<Index>(rng() % 8);
-    const Index n1 = 2 + static_cast<Index>(rng() % 8);
-    const IndexDomain dom = IndexDomain::of_extents({n0, n1});
-    const DistributionType type0 = random_dist(rng, cfg, n0, n1);
-    DistArray<double> blk(env, {.name = "BLK",
-                                .domain = dom,
-                                .dynamic = true,
-                                .initial = type0});
-    DistArray<double> spl(env, {.name = "SPL",
-                                .domain = dom,
-                                .dynamic = true,
-                                .initial = type0});
-    const auto fp = [&](const IndexVec& i) {
-      return fingerprint(dom.linearize(i));
-    };
-    blk.init(fp);
-    spl.init(fp);
-
-    bool asymmetric = rng() % 2 == 0;
-    std::vector<RankSpec> specs =
-        draw_specs(rng, cfg.nprocs, asymmetric, blk.distribution());
-    const auto apply_specs = [&]() {
-      const RankSpec& mine = specs[static_cast<std::size_t>(ctx.rank())];
-      blk.set_overlap(mine.lo, mine.hi, mine.corners, asymmetric);
-      spl.set_overlap(mine.lo, mine.hi, mine.corners, asymmetric);
-    };
-    apply_specs();
-
-    for (int step = 0; step < kSteps; ++step) {
-      const std::string tag =
-          std::string(cfg.name) + " seed " + std::to_string(seed) +
-          " step " + std::to_string(step);
-      switch (rng() % 3) {
-        case 0: {
-          asymmetric = rng() % 2 == 0;
-          specs = draw_specs(rng, cfg.nprocs, asymmetric, blk.distribution());
-          apply_specs();
-          break;
-        }
-        case 1: {
-          const DistributionType next = random_dist(rng, cfg, n0, n1);
-          blk.distribute(next);
-          spl.distribute(next);
-          if (asymmetric &&
-              !specs_valid(specs, blk.distribution(), cfg.nprocs)) {
-            specs = draw_specs(rng, cfg.nprocs, asymmetric,
-                               blk.distribution());
-            apply_specs();
-          }
-          break;
-        }
-        default:
-          break;  // repeat exchange on the warm plan
-      }
-
-      blk.exchange_overlap();
-
-      spl.begin_exchange_overlap();
-      const auto m = spl.split_margins();
-      std::vector<int> counts(spl.local_span().size(), 0);
-      double* const base = spl.local_span().data();
-      const auto visit = [&](const IndexVec&, double& x) {
-        counts[static_cast<std::size_t>(&x - base)]++;
-      };
-      spl.for_owned_interior(m, visit);
-      spl.end_exchange_overlap();
-      spl.for_owned_boundary(m, visit);
-
-      // Exact partition: every owned cell once, no ghost cell at all.
-      spl.for_owned([&](const IndexVec& i, double& x) {
-        const std::size_t off = static_cast<std::size_t>(&x - base);
-        if (counts[off] != 1) {
-          ck.fail("[rank " + std::to_string(ctx.rank()) + "] " + tag +
-                  " owned cell " + i.to_string() + " visited " +
-                  std::to_string(counts[off]) + " times");
-        }
-        counts[off] = 0;
-      });
-      for (std::size_t off = 0; off < counts.size(); ++off) {
-        if (counts[off] != 0) {
-          ck.fail("[rank " + std::to_string(ctx.rank()) + "] " + tag +
-                  " non-owned storage cell " + std::to_string(off) +
-                  " visited by the split traversals");
-        }
-      }
-
-      // Bitwise twin comparison over the whole local storage (owned data
-      // and every ghost cell, filled or untouched).
-      const auto sa = blk.local_span();
-      const auto sb = spl.local_span();
-      ck.check(sa.size() == sb.size(), ctx.rank(), tag + " storage sizes");
-      if (sa.size() == sb.size() && !sa.empty() &&
-          std::memcmp(sa.data(), sb.data(), sa.size_bytes()) != 0) {
-        ck.fail("[rank " + std::to_string(ctx.rank()) + "] " + tag +
-                " split-phase storage differs from blocking twin");
-      }
-    }
-  });
-  ck.expect_clean();
-}
-
-class SplitPhaseFuzz : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(SplitPhaseFuzz, BitwiseEqualToBlockingExchange) {
-  for (const FuzzConfig& cfg : kFuzzConfigs) {
-    run_twin_chain(cfg, GetParam());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SplitPhaseFuzz, ::testing::Range(1u, 7u));
+using testing::fuzz::fingerprint;
 
 /// The in-flight misuse guards: DISTRIBUTE, set_overlap and a second
 /// begin throw ExchangeInFlightError naming the array, the operation and
