@@ -917,4 +917,37 @@ inline void run_chain(const ChainConfig& cfg, ChainTally& tally) {
   EXPECT_EQ(machine.lockstep().mismatches(), 0u);
 }
 
+// ---- the matrix --------------------------------------------------------------
+
+/// Chains per machine (the order of kMachines) and domain rank 1..4: seeds
+/// 1..n of each.
+inline constexpr unsigned kSeeds[][kMaxRank] = {
+    {6, 10, 6, 6},  // p1
+    {6, 6, 6, 6},   // p3
+    {6, 12, 6, 6},  // line4
+    {2, 10, 6, 6},  // grid4
+    {2, 10, 2, 2},  // grid9
+};
+
+/// Every chain of one machine on one transport.
+inline ChainTally run_machine(int machine, msg::TransportKind transport) {
+  ChainTally tally;
+  for (int rank = 1; rank <= kMaxRank; ++rank) {
+    const unsigned seeds = kSeeds[machine][rank - 1];
+    for (unsigned seed = 1; seed <= seeds; ++seed) {
+      run_chain({kMachines[machine], transport, rank, seed}, tally);
+    }
+  }
+  return tally;
+}
+
+/// Every machine reaches the rejected statements it can, and the skew
+/// hybrids (none on one processor, where nothing is skewed).
+inline void expect_coverage(const ChainTally& t, bool multi) {
+  EXPECT_GT(t.rejected_ranges, 0);
+  if (!multi) return;
+  EXPECT_GT(t.rejected_ghosts, 0);
+  EXPECT_GT(t.hybrid_flips, 0u);
+}
+
 }  // namespace vf::testing::fuzz

@@ -1,232 +1,21 @@
-// Seeded SPMD-deterministic cross-layer fuzz of the halo subsystem under
-// per-rank ASYMMETRIC overlap specs (and uniform ones, for the clipping
-// semantics they keep): random contiguous distribution x random per-rank
-// spec x random DISTRIBUTE flips, with every exchange_overlap result
-// compared BITWISE against the sequential reference -- the array holds a
-// global fingerprint field, so after an exchange every ghost cell this
-// rank's spec says is filled must hold exactly the fingerprint of its
-// global index, every ghost cell outside the filled regions must be
-// untouched (zero), and every owned cell must still fingerprint (data
-// preservation through flips and set_overlap storage reshapes).
-//
-// The expected filled widths are re-derived INDEPENDENTLY here (nearest
-// non-empty neighbour coordinate per dimension, clipped by its owned
-// count) rather than through halo::filled_widths, so a bug there cannot
-// vindicate itself.  Machines cover P in {1, 4, 9} with grid and line
-// processor arrays, domain extents small enough to produce degenerate
-// one-plane segments and coordinates owning nothing at all.
+// Seeded DISTRIBUTE / overlap-exchange chains (see fuzz_chain.hpp) on the
+// shared-memory transport: every machine, domain ranks 1 to 4, with the
+// lockstep checker armed.  property_redist_test runs the same chains on
+// the mailbox transport.
 #include <gtest/gtest.h>
 
-#include <random>
-#include <string>
-#include <vector>
+#include "fuzz_chain.hpp"
 
-#include "halo_fuzz_util.hpp"
-#include "spmd_test_util.hpp"
-#include "vf/parti/schedule.hpp"
-#include "vf/rt/dist_array.hpp"
-
-namespace vf::rt {
+namespace vf::testing::fuzz {
 namespace {
 
-using dist::block;
-using dist::DistributionType;
-using dist::Index;
-using dist::IndexDomain;
-using dist::IndexVec;
-using msg::Context;
-using testing::draw_specs;
-using testing::expected_fill;
-using testing::Fill;
-using testing::fingerprint;
-using testing::FuzzConfig;
-using testing::kFuzzConfigs;
-using testing::random_dist;
-using testing::RankSpec;
-using testing::specs_valid;
-using testing::SpmdChecker;
+constexpr msg::TransportKind kTransport = msg::TransportKind::SharedMemory;
 
-/// Verifies every ghost region of `a` against the fingerprint field:
-/// filled cells hold their global fingerprint bitwise, unfilled ghost
-/// cells (inside the declared widths but beyond the filled ones, or
-/// corner cells without the corners flag) hold 0 -- nothing may write
-/// them.
-void verify_ghosts(DistArray<double>& a, const RankSpec& mine, Context& ctx,
-                   SpmdChecker& ck, const std::string& tag) {
-  const dist::Distribution& d = a.distribution();
-  const dist::LocalLayout& L = a.layout();
-  if (!L.member || L.total == 0) return;
-  const IndexDomain& dom = a.domain();
-  const Fill fill = expected_fill(mine, d, L);
-  dist::Range seg[2];
-  for (int dim = 0; dim < 2; ++dim) {
-    const auto s = d.dim_map(dim).segment(static_cast<int>(L.coords[dim]));
-    if (!s) return;
-    seg[dim] = *s;
-  }
-  // Walk every cell of the declared ghost frame (the allocated padding).
-  for (Index i0 = seg[0].lo - mine.lo[0]; i0 <= seg[0].hi + mine.hi[0];
-       ++i0) {
-    for (Index i1 = seg[1].lo - mine.lo[1]; i1 <= seg[1].hi + mine.hi[1];
-         ++i1) {
-      const bool own0 = seg[0].contains(i0);
-      const bool own1 = seg[1].contains(i1);
-      if (own0 && own1) continue;  // owned cells checked elsewhere
-      const bool in0 = own0 || (i0 < seg[0].lo
-                                    ? seg[0].lo - i0 <= fill.lo[0]
-                                    : i0 - seg[0].hi <= fill.hi[0]);
-      const bool in1 = own1 || (i1 < seg[1].lo
-                                    ? seg[1].lo - i1 <= fill.lo[1]
-                                    : i1 - seg[1].hi <= fill.hi[1]);
-      const int ghost_dims = (own0 ? 0 : 1) + (own1 ? 0 : 1);
-      const bool filled =
-          in0 && in1 && (ghost_dims == 1 || mine.corners);
-      const double got = a.halo({i0, i1});
-      const double want =
-          filled ? fingerprint(dom.linearize({i0, i1})) : 0.0;
-      if (!(got == want)) {
-        ck.fail("[rank " + std::to_string(ctx.rank()) + "] " + tag +
-                " ghost (" + std::to_string(i0) + "," + std::to_string(i1) +
-                ") = " + std::to_string(got) + ", want " +
-                std::to_string(want) + (filled ? " (filled)" : " (unfilled)"));
-      }
-    }
-  }
-}
-
-void verify_owned(DistArray<double>& a, Context& ctx, SpmdChecker& ck,
-                  const std::string& tag) {
-  const IndexDomain& dom = a.domain();
-  a.for_owned([&](const IndexVec& i, const double& v) {
-    if (!(v == fingerprint(dom.linearize(i)))) {
-      ck.fail("[rank " + std::to_string(ctx.rank()) + "] " + tag +
-              " owned " + i.to_string() + " lost its fingerprint");
-    }
-  });
-}
-
-void run_chain(const FuzzConfig& cfg, unsigned seed) {
-  constexpr int kSteps = 6;
-  msg::Machine machine(cfg.nprocs);
-  SpmdChecker ck;
-  msg::run_spmd(machine, [&](Context& ctx) {
-    std::mt19937 rng(seed);
-    Env env(ctx, cfg.grid ? dist::ProcessorArray::grid(cfg.q0, cfg.q1)
-                          : dist::ProcessorArray::line(cfg.nprocs));
-    const Index n0 = 2 + static_cast<Index>(rng() % 8);
-    const Index n1 = 2 + static_cast<Index>(rng() % 8);
-    const IndexDomain dom = IndexDomain::of_extents({n0, n1});
-    DistArray<double> a(env,
-                        {.name = "F",
-                         .domain = dom,
-                         .dynamic = true,
-                         .initial = random_dist(rng, cfg, n0, n1)});
-    a.init([&](const IndexVec& i) { return fingerprint(dom.linearize(i)); });
-
-    bool asymmetric = rng() % 2 == 0;
-    std::vector<RankSpec> specs =
-        draw_specs(rng, cfg.nprocs, asymmetric, a.distribution());
-    const auto apply_specs = [&]() {
-      const RankSpec& mine =
-          specs[static_cast<std::size_t>(ctx.rank())];
-      a.set_overlap(mine.lo, mine.hi, mine.corners, asymmetric);
-    };
-    apply_specs();
-
-    for (int step = 0; step < kSteps; ++step) {
-      const std::string tag =
-          std::string(cfg.name) + " seed " + std::to_string(seed) +
-          " step " + std::to_string(step);
-      switch (rng() % 3) {
-        case 0: {
-          // Re-declare the overlap (the refinement front moved).
-          asymmetric = rng() % 2 == 0;
-          specs = draw_specs(rng, cfg.nprocs, asymmetric, a.distribution());
-          apply_specs();
-          break;
-        }
-        case 1: {
-          // DISTRIBUTE flip.  Keep the current spec family when it is
-          // still strictly servable under the new mapping (exercises
-          // family reuse across descriptor swaps); redraw otherwise.
-          a.distribute(random_dist(rng, cfg, n0, n1));
-          if (asymmetric && !specs_valid(specs, a.distribution(),
-                                         cfg.nprocs)) {
-            specs = draw_specs(rng, cfg.nprocs, asymmetric,
-                               a.distribution());
-            apply_specs();
-          }
-          break;
-        }
-        default:
-          break;  // plain repeat exchange (plan-cache replay)
-      }
-      a.exchange_overlap();
-      verify_ghosts(a, specs[static_cast<std::size_t>(ctx.rank())], ctx, ck,
-                    tag);
-      verify_owned(a, ctx, ck, tag);
-    }
-  });
-  ck.expect_clean();
-}
-
-class HaloFuzz : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(HaloFuzz, ExchangeMatchesSequentialReference) {
-  for (const FuzzConfig& cfg : kFuzzConfigs) {
-    run_chain(cfg, GetParam());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HaloFuzz, ::testing::Range(1u, 11u));
-
-/// Cross-layer leg: a PARTI halo-aware gather under an asymmetric family
-/// serves overlap-area reads from ghost storage (zero transport) with the
-/// values the asymmetric exchange placed there.
-TEST(HaloFuzz, AsymmetricHaloSatisfiedGather) {
-  constexpr int kP = 4;
-  msg::Machine machine(kP);
-  SpmdChecker ck;
-  msg::run_spmd(machine, [&](Context& ctx) {
-    Env env(ctx, dist::ProcessorArray::line(kP));
-    const Index n = 16;
-    const IndexDomain dom = IndexDomain::of_extents({n});
-    DistArray<double> a(env, {.name = "G",
-                              .domain = dom,
-                              .dynamic = true,
-                              .initial = DistributionType{block()}});
-    a.init([&](const IndexVec& i) { return fingerprint(dom.linearize(i)); });
-    // Rank r asks for (r % 3) + 1 ghost planes on each side: widths 1..3
-    // against 4-cell segments, different on every rank.
-    const Index w = static_cast<Index>(ctx.rank() % 3) + 1;
-    a.set_overlap({w}, {w}, false, /*asymmetric=*/true);
-    a.exchange_overlap();
-
-    // Request every cell within my filled reach (owned + ghost planes).
-    const auto seg = a.distribution().dim_map(0).segment(
-        static_cast<int>(a.layout().coords[0]));
-    if (!seg) {
-      ck.fail("BLOCK rank owns no segment");
-      return;
-    }
-    std::vector<IndexVec> pts;
-    for (Index i = std::max<Index>(1, seg->lo - w);
-         i <= std::min<Index>(n, seg->hi + w); ++i) {
-      pts.push_back({i});
-    }
-    parti::Schedule sched(ctx, a.dist_handle(), pts, a.halo_spec());
-    ck.check(sched.n_unique_offproc() == 0, ctx.rank(),
-             "asymmetric halo reads still travelled");
-    ck.check(sched.n_halo() > 0, ctx.rank(), "no halo-satisfied points");
-    std::vector<double> out(pts.size());
-    sched.gather(ctx, a, out);
-    for (std::size_t k = 0; k < pts.size(); ++k) {
-      ck.check_eq(out[k], fingerprint(dom.linearize(pts[k])), ctx.rank(),
-                  "halo gather value");
-    }
-  });
-  ck.expect_clean();
-}
+TEST(FuzzChain, P1) { expect_coverage(run_machine(0, kTransport), false); }
+TEST(FuzzChain, P3) { expect_coverage(run_machine(1, kTransport), true); }
+TEST(FuzzChain, Line4) { expect_coverage(run_machine(2, kTransport), true); }
+TEST(FuzzChain, Grid4) { expect_coverage(run_machine(3, kTransport), true); }
+TEST(FuzzChain, Grid9) { expect_coverage(run_machine(4, kTransport), true); }
 
 }  // namespace
-}  // namespace vf::rt
+}  // namespace vf::testing::fuzz

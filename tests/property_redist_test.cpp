@@ -1,161 +1,20 @@
-// Property tests: randomized redistribution chains and alignment
-// compositions over the full distribution family.  The invariants:
-//
-//   * data preservation: after any chain of DISTRIBUTE statements, every
-//     element still holds its fingerprint (Section 3.2.2's correctness
-//     condition);
-//   * ownership totality after every step;
-//   * colocation: an aligned secondary remains colocated with its primary
-//     through every redistribution (Definition 2's guarantee);
-//   * message-count bound: each redistribution sends at most P*(P-1) data
-//     messages.
+// Seeded DISTRIBUTE / overlap-exchange chains (see fuzz_chain.hpp) on the
+// mailbox transport: every machine, domain ranks 1 to 4, with the lockstep
+// checker armed.  halo_fuzz_test runs the same chains on shared memory.
 #include <gtest/gtest.h>
 
-#include <random>
+#include "fuzz_chain.hpp"
 
-#include "spmd_test_util.hpp"
-#include "vf/rt/dist_array.hpp"
-
-namespace vf::rt {
+namespace vf::testing::fuzz {
 namespace {
 
-using dist::DimDist;
-using dist::DistributionType;
-using dist::Index;
-using dist::IndexDomain;
-using dist::IndexVec;
-using msg::Context;
-using testing::run_checked;
-using testing::SpmdChecker;
+constexpr msg::TransportKind kTransport = msg::TransportKind::Mailbox;
 
-/// Draws a random distribution type for a rank-2 array on a processor
-/// line: exactly one distributed dimension (free rank 1), full variety of
-/// per-dimension kinds.
-DistributionType random_type(std::mt19937& rng, Index n0, Index n1,
-                             int nprocs) {
-  const int which = static_cast<int>(rng() % 2);  // which dim is distributed
-  const Index extent = which == 0 ? n0 : n1;
-  DimDist d;
-  switch (rng() % 4) {
-    case 0:
-      d = dist::block();
-      break;
-    case 1:
-      d = dist::cyclic(1 + static_cast<Index>(rng() % 5));
-      break;
-    case 2: {
-      std::vector<Index> sizes(static_cast<std::size_t>(nprocs), 0);
-      Index rest = extent;
-      for (int c = 0; c < nprocs - 1; ++c) {
-        sizes[static_cast<std::size_t>(c)] =
-            static_cast<Index>(rng() % (rest + 1));
-        rest -= sizes[static_cast<std::size_t>(c)];
-      }
-      sizes[static_cast<std::size_t>(nprocs - 1)] = rest;
-      d = dist::s_block(std::move(sizes));
-      break;
-    }
-    default: {
-      std::vector<int> owners(static_cast<std::size_t>(extent));
-      for (auto& o : owners) o = static_cast<int>(rng() % nprocs);
-      d = dist::indirect(std::move(owners));
-      break;
-    }
-  }
-  return which == 0 ? DistributionType{d, dist::col()}
-                    : DistributionType{dist::col(), d};
-}
-
-class RedistChainProperty : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(RedistChainProperty, ChainPreservesDataAndBounds) {
-  const unsigned seed = GetParam();
-  constexpr int kProcs = 4;
-  constexpr Index kN0 = 11;
-  constexpr Index kN1 = 7;
-  constexpr int kChainLength = 6;
-
-  msg::Machine machine(kProcs);
-  testing::SpmdChecker ck;
-  msg::run_spmd(machine, [&](Context& ctx) {
-    // Same seed on every rank: the chain is SPMD-deterministic.
-    std::mt19937 rng(seed);
-    Env env(ctx);
-    const IndexDomain dom({dist::Range{1, kN0}, dist::Range{1, kN1}});
-    DistArray<double> a(env, {.name = "A",
-                              .domain = dom,
-                              .dynamic = true,
-                              .initial = random_type(rng, kN0, kN1, kProcs)});
-    a.init([&](const IndexVec& i) {
-      return static_cast<double>(dom.linearize(i)) + 0.25;
-    });
-    for (int step = 0; step < kChainLength; ++step) {
-      ctx.barrier();
-      if (ctx.rank() == 0) machine.reset_stats();
-      ctx.barrier();
-      a.distribute(random_type(rng, kN0, kN1, kProcs));
-      ctx.barrier();
-      if (ctx.rank() == 0) {
-        const auto s = machine.total_stats();
-        ck.check(s.data_messages <=
-                     static_cast<std::uint64_t>(kProcs) * (kProcs - 1),
-                 0, "pair bound step " + std::to_string(step));
-      }
-      ctx.barrier();  // peers hold here until the rank-0 read completes
-      // Totality: every rank's owned count sums to the domain size.
-      const auto mine = a.layout().member ? a.layout().total : 0;
-      const auto total = ctx.allreduce<Index>(mine, msg::ReduceOp::Sum);
-      ck.check_eq(total, dom.size(), ctx.rank(),
-                  "totality step " + std::to_string(step));
-      // Data preservation.
-      a.for_owned([&](const IndexVec& i, double& v) {
-        ck.check_eq(v, static_cast<double>(dom.linearize(i)) + 0.25,
-                    ctx.rank(), "fingerprint step " + std::to_string(step));
-      });
-    }
-  });
-  ck.expect_clean();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RedistChainProperty,
-                         ::testing::Range(1u, 13u));
-
-class AlignedChainProperty : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(AlignedChainProperty, SecondaryStaysColocatedThroughChain) {
-  const unsigned seed = GetParam();
-  constexpr int kProcs = 4;
-  constexpr Index kN = 8;
-
-  run_checked(kProcs, [&](Context& ctx, SpmdChecker& ck) {
-    std::mt19937 rng(seed);
-    Env env(ctx);
-    const IndexDomain dom = IndexDomain::of_extents({kN, kN});
-    DistArray<double> b(env, {.name = "B",
-                              .domain = dom,
-                              .dynamic = true,
-                              .initial = random_type(rng, kN, kN, kProcs)});
-    // Transposed secondary: D(i,j) WITH B(j,i).
-    DistArray<double> d(env, {.name = "D", .domain = dom, .dynamic = true},
-                        Connection::alignment(
-                            b, dist::Alignment::permutation(2, {1, 0})));
-    d.init([&](const IndexVec& i) {
-      return static_cast<double>(dom.linearize(i));
-    });
-    for (int step = 0; step < 4; ++step) {
-      b.distribute(random_type(rng, kN, kN, kProcs));
-      d.for_owned([&](const IndexVec& i, double& v) {
-        ck.check_eq(v, static_cast<double>(dom.linearize(i)), ctx.rank(),
-                    "secondary data step " + std::to_string(step));
-        ck.check_eq(b.distribution().owner_rank({i[1], i[0]}), ctx.rank(),
-                    ctx.rank(), "colocation step " + std::to_string(step));
-      });
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AlignedChainProperty,
-                         ::testing::Range(100u, 108u));
+TEST(FuzzChain, P1) { expect_coverage(run_machine(0, kTransport), false); }
+TEST(FuzzChain, P3) { expect_coverage(run_machine(1, kTransport), true); }
+TEST(FuzzChain, Line4) { expect_coverage(run_machine(2, kTransport), true); }
+TEST(FuzzChain, Grid4) { expect_coverage(run_machine(3, kTransport), true); }
+TEST(FuzzChain, Grid9) { expect_coverage(run_machine(4, kTransport), true); }
 
 }  // namespace
-}  // namespace vf::rt
+}  // namespace vf::testing::fuzz

@@ -3,7 +3,8 @@
 // paths per map kind (BLOCK, CYCLIC(2), INDIRECT), and a throw caught
 // inside a sweep.  The seeded chains that check storage_offset,
 // halo_offset, halo() bounds and the owned walkers against a DimMap
-// reference in every state (check_state) run in fuzz_chain_test.
+// reference in every state (check_state) are the chain fuzzer's
+// (fuzz_chain.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>

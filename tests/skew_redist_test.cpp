@@ -2,7 +2,7 @@
 // end-to-end DISTRIBUTE equivalence, the PARTI partial-duplication
 // schedule, per-peer CommStats, and fault containment.  The random
 // DISTRIBUTE chains of a forced-hybrid twin against the all-to-owner
-// reference run in fuzz_chain_test.
+// reference are the chain fuzzer's (fuzz_chain.hpp).
 //
 // The correctness bar throughout is BITWISE equality with the plain
 // all-to-owner reference on dyadic values: hybridization only reroutes

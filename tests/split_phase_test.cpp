@@ -3,7 +3,8 @@
 // split-phase application paths (smoothing, AMR front, ADI coupled RHS)
 // must reproduce their blocking checksums bitwise.  Bitwise equality with
 // the blocking exchange and the exact interior/boundary partition under
-// random distributions and specs are checked by fuzz_chain_test.
+// random distributions and specs are checked by the chain fuzzer
+// (fuzz_chain.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
