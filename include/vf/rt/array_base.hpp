@@ -603,14 +603,19 @@ class DistArrayBase {
   }
 
   /// Throws std::invalid_argument if ghost widths `lo`/`hi` sit in a
-  /// dimension that `d` does not map contiguously in coordinate order.  Every
-  /// geometry change runs it before it touches any state, so a rejected
-  /// DISTRIBUTE or set_overlap leaves the array as it was.  Each rank
-  /// checks its own widths: under an asymmetric declaration a rank
-  /// without widths in the dimension goes on into the exchange, and the
-  /// abort fence releases it once a rejecting rank's error escapes.
+  /// dimension that `d` does not map contiguously in coordinate order.
+  /// rebuild_storage_shape runs it on every install; set_overlap runs it
+  /// on the new widths before it changes anything.
   void check_ghosts_fit(const dist::Distribution& d, const dist::IndexVec& lo,
                         const dist::IndexVec& hi) const;
+
+  /// check_ghosts_fit against the widths of every rank, so that every
+  /// rank gives the same verdict on a DISTRIBUTE target: the local widths
+  /// of a uniform declaration, the widest in each dimension of the
+  /// reconciled family for an asymmetric one.  The family is reconciled
+  /// (collectively) only when `d` cannot carry ghosts in some dimension,
+  /// which is the same on every rank.
+  void check_ghosts_fit_everywhere(const dist::Distribution& d);
 
   /// The one per-dimension bounds test of overlap-area access: whether
   /// global index x lies in [halo_lo_[d], halo_lo_[d] + halo_span_[d]],
@@ -713,11 +718,16 @@ class DistArrayBase {
   /// plan entry.
   [[nodiscard]] std::shared_ptr<const msg::RunPlan> lookup_halo_plan();
 
+  /// The per-rank spec family of an asymmetric declaration, reconciled by
+  /// the plan-time spec exchange (collective) unless it is still cached.
+  const halo::FamilyHandle& reconciled_family();
+
   /// The DISTRIBUTE engine proper, after the target descriptor has been
   /// resolved to an interned handle.  It derives every connect-class
   /// member's target and checks RANGE and ghost contiguity for all of
   /// them before any data moves: a rejected statement throws the same
-  /// error on every rank, before any collective, with the class intact.
+  /// error on every rank, before any data message, with the class
+  /// intact.
   void distribute_resolved(dist::DistHandle nd, const NoTransfer& nt);
 
   /// Whether dimension 0 may carry ghost widths on some rank: the same
@@ -736,9 +746,9 @@ class DistArrayBase {
 
   /// Recomputes the allocation shape (counts, strides, segment bases)
   /// and the affine access form for the current distribution and ghost
-  /// widths.  Every geometry change (DISTRIBUTE, no-transfer install,
-  /// descriptor-only swap, set_overlap reshape) goes through here, after
-  /// check_ghosts_fit has admitted it.
+  /// widths, after check_ghosts_fit.  Every geometry change (DISTRIBUTE,
+  /// no-transfer install, descriptor-only swap, set_overlap reshape, the
+  /// constructor's first distribution) goes through here.
   void rebuild_storage_shape();
 
   [[nodiscard]] static std::uint64_t next_serial() noexcept {

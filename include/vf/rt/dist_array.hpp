@@ -337,7 +337,6 @@ class DistArray final : public DistArrayBase {
             dist::DistHandle sd = cclass_->construct_handle_for(
                 m, prim->dist_handle(), env.registry());
             check_range(sd->type());
-            check_ghosts_fit(*sd, ghost_lo_, ghost_hi_);
             install_distribution(std::move(sd));
             break;
           }
@@ -363,7 +362,6 @@ class DistArray final : public DistArrayBase {
       }
       dist::DistHandle d = env.registry().intern(spec.initial_dist.ptr());
       check_range(d->type());
-      check_ghosts_fit(*d, ghost_lo_, ghost_hi_);
       install_distribution(std::move(d));
       return;
     }
@@ -371,7 +369,6 @@ class DistArray final : public DistArrayBase {
       dist::DistHandle d = env.registry().intern(
           dom_, *spec.initial, spec.to ? *spec.to : env.whole());
       check_range(d->type());
-      check_ghosts_fit(*d, ghost_lo_, ghost_hi_);
       install_distribution(std::move(d));
     }
   }

@@ -147,7 +147,27 @@ void DistArrayBase::check_ghosts_fit(const dist::Distribution& d,
   }
 }
 
+void DistArrayBase::check_ghosts_fit_everywhere(const dist::Distribution& d) {
+  if (!halo_asymmetric_) return check_ghosts_fit(d, ghost_lo_, ghost_hi_);
+  const int r = dom_.rank();
+  bool capable = true;
+  for (int k = 0; k < r; ++k) capable = capable && ghost_capable(d.dim_map(k));
+  if (capable) return;
+  const halo::FamilyHandle& family = reconciled_family();
+  dist::IndexVec lo = dist::IndexVec::filled(r, 0);
+  dist::IndexVec hi = dist::IndexVec::filled(r, 0);
+  for (int p = 0; p < family->nprocs(); ++p) {
+    const halo::HaloSpec& s = family->spec_of(p);
+    for (int k = 0; k < r; ++k) {
+      lo[k] = std::max(lo[k], s.lo(k));
+      hi[k] = std::max(hi[k], s.hi(k));
+    }
+  }
+  check_ghosts_fit(d, lo, hi);
+}
+
 void DistArrayBase::rebuild_storage_shape() {
+  check_ghosts_fit(*dist_, ghost_lo_, ghost_hi_);
   const int r = dom_.rank();
   alloc_counts_ = dist::IndexVec::filled(r, 0);
   alloc_strides_ = dist::IndexVec::filled(r, 0);
@@ -306,23 +326,24 @@ std::shared_ptr<const msg::RunPlan> DistArrayBase::lookup_halo_plan() {
   if (!dist_) throw NotDistributedError(name_);
   const int me = env_->rank();
   const int np = env_->nprocs();
-  if (halo_asymmetric_) {
-    if (!halo_family_) {
-      // Plan-time spec exchange (lazy, collective): one allgather of the
-      // per-rank width vectors, cached until the next set_overlap.  All
-      // ranks' families go stale together because set_overlap is
-      // collective, so the collective below matches up.
-      halo_family_ =
-          halo::exchange_specs(env_->comm(), env_->registry(), halo_);
-      ++halo_spec_exchanges_;
-    }
-    if (!halo_family_->uniform()) {
-      return env_->halo_plans().lookup_or_build(dist_, halo_family_, me, np);
-    }
-    // Reconciliation found the family uniform: fall through to the
-    // uniform key so this entry is shared with uniform declarations.
+  if (halo_asymmetric_ && !reconciled_family()->uniform()) {
+    return env_->halo_plans().lookup_or_build(dist_, halo_family_, me, np);
   }
+  // A uniform declaration, or a family reconciliation found uniform: the
+  // uniform key, so this entry is shared with uniform declarations.
   return env_->halo_plans().lookup_or_build(dist_, halo_, me, np);
+}
+
+const halo::FamilyHandle& DistArrayBase::reconciled_family() {
+  if (!halo_family_) {
+    // Plan-time spec exchange (lazy, collective): one allgather of the
+    // per-rank width vectors, cached until the next set_overlap.  All
+    // ranks' families go stale together because set_overlap is
+    // collective, so the collective below matches up.
+    halo_family_ = halo::exchange_specs(env_->comm(), env_->registry(), halo_);
+    ++halo_spec_exchanges_;
+  }
+  return halo_family_;
 }
 
 void DistArrayBase::sweep_caches() {
@@ -390,10 +411,10 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
   if (dist_ == nd) return;
 
   // Step 2: determine the distributions of connected arrays, and admit
-  // the whole statement before anything moves.  The primary's RANGE was
-  // checked on the nominal target (and a hybrid only replaces one it
-  // admits).
-  check_ghosts_fit(*nd, ghost_lo_, ghost_hi_);
+  // the whole statement before anything moves, with the same verdict on
+  // every rank.  The primary's RANGE was checked on the nominal target
+  // (and a hybrid only replaces one it admits).
+  check_ghosts_fit_everywhere(*nd);
   const auto& secondaries = cclass_->secondaries();
   std::vector<dist::DistHandle> targets;
   targets.reserve(secondaries.size());
@@ -401,7 +422,7 @@ void DistArrayBase::distribute_resolved(dist::DistHandle nd,
     dist::DistHandle sd =
         cclass_->construct_handle_for(m, nd, env_->registry());
     m.array->check_range(sd->type());
-    m.array->check_ghosts_fit(*sd, m.array->ghost_lo_, m.array->ghost_hi_);
+    m.array->check_ghosts_fit_everywhere(*sd);
     targets.push_back(std::move(sd));
   }
 

@@ -175,6 +175,13 @@ TEST(Addressing, ErrorPathsPerMapKind) {
       expect_throw<NotDistributedError>(
           ck, me, [&] { (void)u.storage_offset(first); },
           name + ": storage_offset undistributed");
+      expect_throw<NotDistributedError>(
+          ck, me, [&] { (void)u.halo_offset(first); },
+          name + ": halo_offset undistributed");
+      expect_throw<NotDistributedError>(
+          ck, me, [&] { u.for_owned([](const IndexVec&, double&) {}); },
+          name + ": for_owned undistributed");
+      ck.check(!u.halo_readable(first), me, name + ": readable undistributed");
 
       Array a = make_kind_array(env, k, true);
       a.init(fingerprint_of(a.domain()));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -172,9 +173,16 @@ TEST(Overlap, RejectsGhostOnNonContiguousDim) {
 // A DISTRIBUTE whose target cannot carry the declared ghosts was refused
 // only when the new storage shape was built, after the exchange and the
 // descriptor swap: the array then reported CYCLIC(1) over the old padded
-// storage.  It is refused before any collective, the array unchanged.
+// storage.  It is refused before any data message, the array unchanged,
+// and alike on every rank -- also under an asymmetric declaration that
+// gives only rank 1 widths, where rank 0 used to go on into the exchange
+// alone.  There the verdict reads the reconciled family, which the
+// DISTRIBUTE reconciles itself when set_overlap has left it stale.
 TEST(Overlap, RejectedDistributeLeavesArrayUnchanged) {
-  run_checked(2, [](Context& ctx, SpmdChecker& ck) {
+  msg::Machine m(2);
+  m.set_lockstep_check(true);
+  m.set_recv_watchdog(std::chrono::seconds(10));
+  testing::run_checked_on(m, [](Context& ctx, SpmdChecker& ck) {
     Env env(ctx);
     DistArray<double> a(env, {.name = "A",
                               .domain = IndexDomain::of_extents({16}),
@@ -183,28 +191,39 @@ TEST(Overlap, RejectedDistributeLeavesArrayUnchanged) {
                               .overlap_lo = {1},
                               .overlap_hi = {1}});
     a.init([](const IndexVec& i) { return 0.5 + static_cast<double>(i[0]); });
-    a.exchange_overlap();
-    const dist::DistHandle before = a.dist_handle();
-    const std::vector<double> storage(a.local_span().begin(),
-                                      a.local_span().end());
-    const msg::CommStats traffic = ctx.stats();
-    try {
-      a.distribute(DistributionType{cyclic(1)});
-      ck.fail("expected invalid_argument (CYCLIC(1) under ghosts)");
-    } catch (const std::invalid_argument& e) {
-      ck.check(std::string(e.what()) ==
-                   "array A: overlap areas require a contiguous "
-                   "distribution in dimension 0",
-               ctx.rank(), e.what());
+    const IndexVec w{ctx.rank()};
+    for (const char* at : {"uniform: ", "stale: ", "reconciled: "}) {
+      const bool stale = at[0] == 's';
+      if (at[0] != 'u') a.set_overlap(w, w);  // asymmetric
+      if (!stale) a.exchange_overlap();
+      const dist::DistHandle before = a.dist_handle();
+      const std::vector<double> storage(a.local_span().begin(),
+                                        a.local_span().end());
+      const msg::CommStats traffic = ctx.stats();
+      try {
+        a.distribute(DistributionType{cyclic(1)});
+        ck.fail(std::string(at) + "expected invalid_argument");
+      } catch (const std::invalid_argument& e) {
+        ck.check(std::string(e.what()) ==
+                     "array A: overlap areas require a contiguous "
+                     "distribution in dimension 0",
+                 ctx.rank(), at + std::string(e.what()));
+      }
+      ck.check(a.dist_handle() == before &&
+                   std::equal(storage.begin(), storage.end(),
+                              a.local_span().begin(), a.local_span().end()),
+               ctx.rank(), at + std::string("descriptor and storage kept"));
+      ck.check(ctx.stats().data_messages == traffic.data_messages, ctx.rank(),
+               at + std::string("refused before any data message"));
+      ck.check_eq(ctx.stats().collectives - traffic.collectives,
+                  std::uint64_t{stale ? 1u : 0u}, ctx.rank(),
+                  at + std::string("collectives: a stale family's exchange"));
     }
-    ck.check(a.dist_handle() == before && a.alloc_total() == 10 &&
-                 std::equal(storage.begin(), storage.end(),
-                            a.local_span().begin(), a.local_span().end()),
-             ctx.rank(), "descriptor, owned and ghost values kept");
-    ck.check(ctx.stats().collectives == traffic.collectives &&
-                 ctx.stats().data_messages == traffic.data_messages,
-             ctx.rank(), "refused before any collective");
+    // Every rank is still in step: the exchange fills rank 1's ghosts.
+    a.exchange_overlap();
+    if (ctx.rank() == 1) ck.check_eq(a.halo({8}), 8.5, 1, "low ghost");
   });
+  EXPECT_EQ(m.lockstep().mismatches(), 0u);
 }
 
 TEST(Overlap, SurvivesRedistribution) {
